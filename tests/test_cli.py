@@ -1,7 +1,12 @@
 """Command line behavior: golden outputs, formats, exit codes, determinism."""
 
+import contextlib
+import hashlib
+import importlib.util
+import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -9,7 +14,9 @@ import iwaspectra.cli as cli
 from iwaspectra.imc import ImcRecord, ImcReport
 from iwaspectra.padic import INFINITE, PadicValuation
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+BENCH = ROOT / "bench"
 
 
 def run(capsys, *args):
@@ -305,3 +312,22 @@ class TestPrimeOverride:
         assert payload["p"] == 7
         assert len(payload["eigenspaces"]) == 12
         assert payload["chi"] == 3
+
+class TestBenchReferences:
+    def test_cli_corpus_pool_is_byte_identical(self, tmp_path, monkeypatch):
+        # every call of the benchmark's cli-corpus pool, in-process, against
+        # the exit code and stdout digest recorded in bench/references.json
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        references = json.loads((BENCH / "references.json").read_text())["calls"]
+        monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
+        calls = workloads.pool("cli-corpus", tmp_path, CORPUS)
+        assert len(calls) == 108
+        for call in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(list(call.argv))
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            assert [code, digest] == references[call.key], call.argv
