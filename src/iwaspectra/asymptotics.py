@@ -54,10 +54,10 @@ class GradedAverage:
 def _degree_order_sum(X: FiniteSpectrumData, j: int) -> int:
     total = 0
     for d, r in X.betti.items():
-        order = sphere_order(X.p, j - d)
-        if not order.is_finite:
+        e = sphere_order(X.p, j - d)
+        if not e.is_finite:
             raise InfiniteOrderInWindow(j, d)
-        total += r * X.p ** order.exponent.value
+        total += r * X.p ** e.value
     return total
 
 

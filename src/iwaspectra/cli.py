@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 from .asymptotics import LambdaZero, default_skip, graded_average, growth_ratio, ladder
@@ -47,23 +48,38 @@ class SpectrumFileError(ValueError):
     pass
 
 
+DEGREE_KEY = re.compile(r"-?[0-9]+")
+
+
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SpectrumFileError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_spectrum_file(path: str, prime_override=None):
     """Parse a spectrum description file.  Returns (name, FiniteSpectrumData).
 
     Schema: {"p": odd prime, "betti": {"<degree>": rank >= 1, ...},
     "torsion": [degree, ...] (optional), "name": str (optional)}.
-    Unknown keys are rejected.
+    Degrees are ASCII decimal integers.  Unknown and duplicate keys are
+    rejected at every level.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            payload = json.loads(fh.read(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SpectrumFileError(f"{path}: {exc.strerror or exc}")
-    try:
-        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpectrumFileError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise SpectrumFileError(f"{path}: JSON nested too deeply")
+    except ValueError as exc:  # not UTF-8, a duplicate key, an overlong integer
+        raise SpectrumFileError(f"{path}: {exc}")
 
     if not isinstance(payload, dict):
         raise SpectrumFileError(f"{path}: top level must be a JSON object")
@@ -87,10 +103,9 @@ def load_spectrum_file(path: str, prime_override=None):
         raise SpectrumFileError(f"{path}: 'betti' must be an object of degree -> rank")
     betti = {}
     for key, rank in raw_betti.items():
-        try:
-            degree = int(key)
-        except ValueError:
+        if not DEGREE_KEY.fullmatch(key):
             raise SpectrumFileError(f"{path}: betti degree {key!r} is not an integer")
+        degree = int(key)
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise SpectrumFileError(
                 f"{path}: betti rank at degree {degree} must be an integer >= 1, got {rank!r}")
@@ -140,6 +155,17 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def emit(fmt, payload, headers, rows, lead) -> None:
+    """Write one result to stdout: payload as JSON, rows as CSV, or the lead
+    line(s) over the rows as a table."""
+    if fmt == "json":
+        sys.stdout.write(render_json(payload))
+    elif fmt == "csv":
+        sys.stdout.write(render_csv(headers, rows))
+    else:
+        sys.stdout.write(lead + "\n" + render_table(headers, rows))
+
+
 # ------------------------------------------------------------- subcommands
 
 def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
@@ -172,22 +198,12 @@ def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
 def cmd_invariants(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
     payload = invariants_payload(name, X, args.precision)
-    if args.format == "json":
-        sys.stdout.write(render_json(payload))
-        return EXIT_OK
     rows = [[str(e["degree"]), str(e["j"]), str(e["lambda"]), str(e["mu"]), e["charpoly"]]
             for e in payload["eigenspaces"]]
-    headers = ["degree", "j", "lambda", "mu", "charpoly"]
-    if args.format == "csv":
-        sys.stdout.write(render_csv(headers, rows))
-        return EXIT_OK
-    lead = [f"name: {name}" if name else "name: -",
-            f"p = {payload['p']}  chi = {payload['chi']}  total_lambda = {payload['total_lambda']}"]
-    if payload["alpha"] is None:
-        lead.append("degree window: empty")
-    else:
-        lead.append(f"degree window: [{payload['alpha']}, {payload['beta']}]")
-    sys.stdout.write("\n".join(lead) + "\n" + render_table(headers, rows))
+    window = "empty" if payload["alpha"] is None else f"[{payload['alpha']}, {payload['beta']}]"
+    lead = (f"name: {name or '-'}\np = {payload['p']}  chi = {payload['chi']}  "
+            f"total_lambda = {payload['total_lambda']}\ndegree window: {window}")
+    emit(args.format, payload, ["degree", "j", "lambda", "mu", "charpoly"], rows, lead)
     return EXIT_OK
 
 
@@ -210,28 +226,17 @@ def imc_payload(name, report: ImcReport) -> dict:
     }
 
 
-IMC_HEADERS = ["m", "side", "lhs_val", "rhs_val", "in_window", "match"]
-
-
-def imc_rows(report: ImcReport):
-    return [[str(r.m), str(r.side), str(r.lhs_valuation), str(r.rhs_valuation),
-             "true" if r.in_window else "false", "true" if r.match else "false"]
-            for r in report.records]
-
-
 def cmd_imc(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
     a, b = args.m_range
     report = verify_weak_imc(X, range(a, b + 1))
-    if args.format == "json":
-        sys.stdout.write(render_json(imc_payload(name, report)))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(IMC_HEADERS, imc_rows(report)))
-    else:
-        mismatches = len(report.in_window_mismatches)
-        lead = (f"p = {int(report.p)}  m in [{a}, {b}]  "
-                f"in-window mismatches: {mismatches}")
-        sys.stdout.write(lead + "\n" + render_table(IMC_HEADERS, imc_rows(report)))
+    rows = [[str(r.m), str(r.side), str(r.lhs_valuation), str(r.rhs_valuation),
+             "true" if r.in_window else "false", "true" if r.match else "false"]
+            for r in report.records]
+    lead = (f"p = {int(report.p)}  m in [{a}, {b}]  "
+            f"in-window mismatches: {len(report.in_window_mismatches)}")
+    emit(args.format, imc_payload(name, report),
+         ["m", "side", "lhs_val", "rhs_val", "in_window", "match"], rows, lead)
     return EXIT_OK if report.ok else EXIT_FAILED
 
 
@@ -257,35 +262,24 @@ def cmd_growth(args) -> int:
         records.append(record)
         rows.append(row)
     headers = ["k", "n", "average"] + ([] if args.average_only else ["ratio"])
-    if args.format == "json":
-        payload = {"name": name, "p": int(X.p), "total_lambda": lam,
-                   "skip": skip, "rows": records}
-        sys.stdout.write(render_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(headers, rows))
-    else:
-        lead = f"p = {int(X.p)}  total_lambda = {lam}  skip = {skip}"
-        sys.stdout.write(lead + "\n" + render_table(headers, rows))
+    payload = {"name": name, "p": int(X.p), "total_lambda": lam, "skip": skip, "rows": records}
+    lead = f"p = {int(X.p)}  total_lambda = {lam}  skip = {skip}"
+    emit(args.format, payload, headers, rows, lead)
     return EXIT_OK
 
 
 def cmd_sphere_table(args) -> int:
     p = OddPrime(args.prime)
     a, b = args.t_range
-    headers = ["t", "exponent", "order"]
     rows = []
     records = []
     for t in range(a, b + 1):
-        e = sphere_order(p, t).exponent
+        e = sphere_order(p, t)
         order = str(p ** e.value) if e.is_finite else "inf"
         rows.append([str(t), str(e), order])
         records.append({"t": t, "exponent": val_json(e), "order": order})
-    if args.format == "json":
-        sys.stdout.write(render_json({"p": int(p), "rows": records}))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(headers, rows))
-    else:
-        sys.stdout.write(f"p = {int(p)}\n" + render_table(headers, rows))
+    emit(args.format, {"p": int(p), "rows": records}, ["t", "exponent", "order"], rows,
+         f"p = {int(p)}")
     return EXIT_OK
 
 

@@ -75,7 +75,7 @@ def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:
     for m in m_range:
         inside = in_strict_window(X, m)
         for side, cohomological_degree in ((2 * m - 1, 0), (2 * m, -1)):
-            lhs = k1_order_of_dual_replacement(X, side).exponent
+            lhs = k1_order_of_dual_replacement(X, side)
             f = eigenspace_charpoly(X, (cohomological_degree, -m))
             rhs = evaluate_valuation(f, -m)
             records.append(ImcRecord(m, side, lhs, rhs, inside, lhs == rhs))
@@ -119,6 +119,6 @@ def verify_sphere_simc(p, i_range, n_range) -> SphereSimcReport:
         for n in n_range:
             j = (1 - n) % (p - 1)
             lhs = evaluate_valuation(sphere_charpoly(p, i, j), 1 - n)
-            rhs = sphere_order(p, 2 * (n + i - 1) - 1).exponent
+            rhs = sphere_order(p, 2 * (n + i - 1) - 1)
             records.append(SphereSimcRecord(i, j, n, lhs, rhs, lhs == rhs))
     return SphereSimcReport(p, tuple(records))

@@ -11,9 +11,7 @@ lambda invariant; mu is identically zero in this regime.
 
 Valuations of special values f((1+p)^s - 1) are computed factor-wise through
 the identity nu_p((1+p)^n - 1) = 1 + nu_p(n), so no big numbers are ever
-formed on that path.  Arbitrary-point evaluation is exposed only through
-evaluate_exact, which works in exact rational arithmetic and serves as the
-independent oracle for the factor-wise route.
+formed on that path.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .padic import (
     OddPrime,
     PadicValuation,
     one_plus_p_pow_minus_one_valuation,
-    pow_mod,
 )
 
 
@@ -121,15 +118,6 @@ def evaluate_valuation(f: CharPoly, s: int) -> PadicValuation:
     return total
 
 
-def evaluate_exact(f: CharPoly, x) -> Fraction:
-    """f(x) in exact rational arithmetic, for any int or Fraction x.
-    Oracle route: clears no denominators and takes no shortcuts."""
-    acc = Fraction(1)
-    for i, mult in f.factors:
-        acc *= (Fraction(x) - eval_point(f.p, i)) ** mult
-    return acc
-
-
 def coefficients(f: CharPoly) -> tuple[Fraction, ...]:
     """Expanded coefficients, constant term first, leading coefficient 1.
     Exact rationals; they are p-integral but need not be integers when some
@@ -150,11 +138,7 @@ def coefficients_mod(f: CharPoly, precision: int = DEFAULT_PRECISION) -> list[in
     """Expanded coefficients as residues mod p**precision, constant first.
     Well defined because every coefficient is p-integral."""
     mod = f.p ** precision
-    out = []
-    for c in coefficients(f):
-        inv = pow_mod(c.denominator, -1, f.p, precision).residue
-        out.append(c.numerator * inv % mod)
-    return out
+    return [c.numerator * pow(c.denominator, -1, mod) % mod for c in coefficients(f)]
 
 
 def format_charpoly(f: CharPoly) -> str:

@@ -2,8 +2,9 @@
 
 For the K(1)-local sphere, pi_t is: Zp-hat in degrees t = -1 and t = 0;
 cyclic of order p**(nu_p(m) + 1) when t is odd and m = (t+1)/(2(p-1)) is a
-nonzero integer (negative m included); trivial otherwise.  GroupOrder records
-only the exponent of the order, with INFINITE encoding a Zp-hat summand.
+nonzero integer (negative m included); trivial otherwise.  Every order here
+is returned as its exponent, a PadicValuation, with INFINITE encoding a
+Zp-hat summand.
 
 For a torsion-free wedge of cells the localized homotopy in each degree is
 the direct sum over cells, so orders multiply: exponents add, scaled by the
@@ -12,75 +13,44 @@ rank of each cell.  One infinite summand makes the whole degree infinite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .padic import INFINITE, OddPrime, PadicValuation, one_plus_p_pow_minus_one_valuation
-from .spectra import FiniteSpectrumData, dual, torsion_free_replacement, wedge
+from .padic import INFINITE, ZERO, OddPrime, PadicValuation, one_plus_p_pow_minus_one_valuation
+from .spectra import FiniteSpectrumData, dual, strip_torsion
 
 
 class TorsionPresent(ValueError):
     """wedge_order needs torsion-free data; strip or replace first."""
 
 
-@dataclass(frozen=True)
-class GroupOrder:
-    """|pi_t| as p**exponent; INFINITE exponent means a Zp-hat summand."""
-
-    exponent: PadicValuation
-
-    @classmethod
-    def trivial(cls) -> "GroupOrder":
-        return cls(PadicValuation(0))
-
-    @classmethod
-    def infinite(cls) -> "GroupOrder":
-        return cls(INFINITE)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.exponent.is_finite
-
-    def __mul__(self, other):
-        if not isinstance(other, GroupOrder):
-            return NotImplemented
-        return GroupOrder(self.exponent + other.exponent)
-
-    def __pow__(self, r: int):
-        if not isinstance(r, int) or r < 1:
-            raise ValueError(f"group order power needs an int >= 1, got {r!r}")
-        return GroupOrder(self.exponent * r)
-
-
-def sphere_order(p, t: int) -> GroupOrder:
-    """Order of pi_t of the K(1)-local sphere at p, per the table above."""
+def sphere_order(p, t: int) -> PadicValuation:
+    """Exponent of |pi_t| of the K(1)-local sphere at p, per the table above."""
     p = OddPrime(p)
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError(f"degree must be an int, got {type(t).__name__}")
     if t in (-1, 0):
-        return GroupOrder.infinite()
+        return INFINITE
     if t % 2 != 0:
         m, rem = divmod(t + 1, 2 * (p - 1))
         if rem == 0 and m != 0:
             # exponent 1 + nu_p(m), which is nu_p((1+p)^m - 1)
-            return GroupOrder(one_plus_p_pow_minus_one_valuation(p, m))
-    return GroupOrder.trivial()
+            return one_plus_p_pow_minus_one_valuation(p, m)
+    return ZERO
 
 
-def wedge_order(X: FiniteSpectrumData, t: int) -> GroupOrder:
-    """|pi_t| of the K(1)-localization of torsion-free X: the product over
-    cells d of sphere_order(p, t - d) ** rank."""
+def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
+    """Exponent of |pi_t| of the K(1)-localization of torsion-free X: the sum
+    over cells d of rank * sphere_order(p, t - d)."""
     if X.torsion:
         raise TorsionPresent(
             f"torsion markers present at degrees {sorted(X.torsion)}; "
             "apply the torsion-free replacement first")
-    order = GroupOrder.trivial()
+    total = ZERO
     for d, r in X.betti.items():
-        order = order * sphere_order(X.p, t - d) ** r
-    return order
+        total = total + sphere_order(X.p, t - d) * r
+    return total
 
 
-def k1_order_of_dual_replacement(X: FiniteSpectrumData, t: int) -> GroupOrder:
-    """|pi_t| of the K(1)-local dual of the torsion-free replacement of X.
-    This is the homotopy side of every main-conjecture comparison."""
-    even, odd = torsion_free_replacement(X)
-    return wedge_order(dual(wedge(even, odd)), t)
+def k1_order_of_dual_replacement(X: FiniteSpectrumData, t: int) -> PadicValuation:
+    """Exponent of |pi_t| of the K(1)-local dual of the torsion-free
+    replacement of X.  This is the homotopy side of every main-conjecture
+    comparison."""
+    return wedge_order(dual(strip_torsion(X)), t)

@@ -6,16 +6,12 @@ graded averages) reduces to a handful of valuation facts collected here:
 * ``valuation(p, x)`` is the exponent of p in a nonzero rational x whose
   denominator is prime to p.  Valuations are natural numbers together with
   one extra element ``INFINITE``, which serves both as nu_p(0) and as the
-  "order exponent" of a pro-p summand such as Zp-hat.  INFINITE absorbs
-  addition and positive scaling.
+  order exponent of a pro-p summand such as Zp-hat.  INFINITE absorbs
+  addition and positive scaling.  The order p**e of a finite p-group is
+  carried as its exponent e, so orders multiply by adding valuations.
 * the special-value identity nu_p((1+p)^n - 1) = 1 + nu_p(n) for n != 0,
-  which is symmetric in n <-> -n.  The closed form is what the rest of the
-  package uses; the direct big-integer expansion stays exposed as an oracle
-  so the two routes can be checked against each other.
-* truncated (modular) arithmetic: a p-adic integer known modulo p**N.  The
-  modular route exists only as a cross-check on the exact routes, and it
-  refuses to report a valuation when the residue is 0 mod p**N, since the
-  truncation cannot distinguish "valuation >= N" from "is zero".
+  which is symmetric in n <-> -n.  The closed form is the only route here;
+  the tests check it against the big-integer expansion.
 
 No floating point is used anywhere in this module except the single inf
 sentinel inside PadicValuation.
@@ -27,7 +23,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-DEFAULT_PRECISION = 64  # p-adic digits carried by the modular cross-check path
+DEFAULT_PRECISION = 64  # p-adic digits of expanded coefficients
+
+# Miller-Rabin with the first 13 prime bases (2 .. 41) is exact for every
+# n below this bound (Sorenson and Webster, 2015); the bound itself is a
+# strong pseudoprime to all of them.  The first 12 bases stop at the
+# smaller bound 318665857834031151167461, a strong pseudoprime to 2 .. 37.
+PRIMALITY_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class NotAnOddPrime(ValueError):
@@ -35,32 +38,38 @@ class NotAnOddPrime(ValueError):
 
 
 class ZeroInput(ValueError):
-    """0 has no finite valuation; use extended_valuation for the convention."""
+    """0 has no finite valuation."""
 
 
 class NegativeValuation(ValueError):
     """The denominator is divisible by p, so the value is not p-integral."""
 
 
-class NotAUnit(ValueError):
-    """Inversion mod p**N asked for an element divisible by p."""
-
-
-class PrecisionExhausted(ArithmeticError):
-    """A residue is 0 mod p**N; its valuation is not determined by the data."""
-
-
 def is_odd_prime(n) -> bool:
-    """Trial division. Desk-scale inputs only, which is all we ever validate."""
+    """Deterministic Miller-Rabin.  Raises NotAnOddPrime for an odd n at or
+    above PRIMALITY_BOUND, where the witness set no longer decides."""
     if not isinstance(n, int) or isinstance(n, bool):
         return False
     if n < 3 or n % 2 == 0:
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIMALITY_BOUND:
+        raise NotAnOddPrime(f"primality is decided only below {PRIMALITY_BOUND}, got {n}")
+    if n in _WITNESSES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -146,27 +155,10 @@ def valuation(p, x) -> PadicValuation:
     else:
         raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
     if num == 0:
-        raise ZeroInput("nu_p(0) is infinite; use extended_valuation for that convention")
+        raise ZeroInput("nu_p(0) is infinite")
     if den % p == 0:
         raise NegativeValuation(f"{x} is not p-integral at p={p}")
     return PadicValuation(_int_valuation(p, num))
-
-
-def extended_valuation(p, x) -> PadicValuation:
-    """valuation extended by nu_p(0) = INFINITE; math.inf is the marker for
-    an infinite order (the |Zp-hat| convention)."""
-    if x == math.inf:
-        return INFINITE
-    if (isinstance(x, int) or isinstance(x, Fraction)) and x == 0:
-        OddPrime(p)
-        return INFINITE
-    return valuation(p, x)
-
-
-def same_valuation(p, a, b) -> bool:
-    """Whether a and b generate the same ideal measured p-adically, i.e.
-    nu_p(a) = nu_p(b) under the extended convention."""
-    return extended_valuation(p, a) == extended_valuation(p, b)
 
 
 def one_plus_p_pow_minus_one_valuation(p, n) -> PadicValuation:
@@ -181,57 +173,3 @@ def one_plus_p_pow_minus_one_valuation(p, n) -> PadicValuation:
     if n == 0:
         raise ZeroInput("(1+p)^0 - 1 = 0 has no finite valuation")
     return PadicValuation(1 + _int_valuation(p, n))
-
-
-def one_plus_p_pow_minus_one_valuation_by_expansion(p, n) -> PadicValuation:
-    """Oracle route for the identity above: expand (1+p)^n - 1 exactly
-    (a big integer, or a Fraction when n < 0) and take its valuation."""
-    p = OddPrime(p)
-    if n == 0:
-        raise ZeroInput("(1+p)^0 - 1 = 0 has no finite valuation")
-    return valuation(p, Fraction(1 + p) ** n - 1)
-
-
-@dataclass(frozen=True)
-class PadicApprox:
-    """A p-adic integer truncated to its residue mod p**precision."""
-
-    p: int
-    precision: int
-    residue: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", OddPrime(self.p))
-        if not isinstance(self.precision, int) or self.precision < 1:
-            raise ValueError(f"precision must be a positive int, got {self.precision!r}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    def __mul__(self, other):
-        if not isinstance(other, PadicApprox):
-            return NotImplemented
-        if (self.p, self.precision) != (other.p, other.precision):
-            raise ValueError("cannot multiply approximations at different (p, precision)")
-        return PadicApprox(self.p, self.precision, self.residue * other.residue)
-
-    def valuation(self) -> PadicValuation:
-        """Valuation read off the residue.  Only trustworthy below the
-        precision; a zero residue is refused rather than reported as >= N."""
-        if self.residue == 0:
-            raise PrecisionExhausted(
-                f"residue is 0 mod {self.p}**{self.precision}; raise the precision")
-        return PadicValuation(_int_valuation(self.p, self.residue))
-
-
-def pow_mod(base, exp, p, precision: int = DEFAULT_PRECISION) -> PadicApprox:
-    """base**exp as a truncated p-adic integer.  Negative exponents invert
-    mod p**precision and require base to be a p-adic unit."""
-    p = OddPrime(p)
-    if not isinstance(precision, int) or precision < 1:
-        raise ValueError(f"precision must be a positive int, got {precision!r}")
-    if exp < 0 and base % p == 0:
-        raise NotAUnit(f"{base} is divisible by {p}, so it has no inverse mod {p}**{precision}")
-    return PadicApprox(p, precision, pow(base, exp, p ** precision))

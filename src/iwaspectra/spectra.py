@@ -83,15 +83,8 @@ def dual(X: FiniteSpectrumData) -> FiniteSpectrumData:
 
 
 def strip_torsion(X: FiniteSpectrumData) -> FiniteSpectrumData:
+    """The torsion-free replacement of X: the same cells, no torsion markers."""
     return FiniteSpectrumData(X.p, dict(X.betti))
-
-
-def torsion_free_replacement(X: FiniteSpectrumData):
-    """The even and odd torsion-free pieces (X_even, X_odd); their wedge is
-    the torsion-free replacement of X."""
-    even = FiniteSpectrumData(X.p, {d: r for d, r in X.betti.items() if d % 2 == 0})
-    odd = FiniteSpectrumData(X.p, {d: r for d, r in X.betti.items() if d % 2 != 0})
-    return even, odd
 
 
 def wedge(X: FiniteSpectrumData, Y: FiniteSpectrumData) -> FiniteSpectrumData:

@@ -69,6 +69,16 @@ def sphere_exponent_bruteforce(p: int, t: int):
     return 0
 
 
+def evaluate_exact(f, x) -> Fraction:
+    """f(x) for a CharPoly f, in exact rational arithmetic at any int or
+    Fraction x: the product of (x - (1+p)^i + 1)^mult over its factors, with
+    no valuation shortcuts."""
+    acc = Fraction(1)
+    for i, mult in f.factors:
+        acc *= (Fraction(x) - (Fraction(1 + f.p) ** i - 1)) ** mult
+    return acc
+
+
 def horner_eval(coeffs_constant_first, x) -> Fraction:
     """Polynomial evaluation from expanded coefficients; independent of the
     package's factor-wise routes."""

@@ -234,6 +234,12 @@ class TestFailureModes:
         code, _, err = run(capsys, "invariants", str(path))
         assert code == 2
         assert "line 1" in err and "column" in err
+        # not UTF-8, and nested past the parser's recursion limit
+        for data in (b'\xff\xfe{"p":3}', b"[" * 200000):
+            path.write_bytes(data)
+            code, _, err = run(capsys, "invariants", str(path))
+            assert code == 2, data[:8]
+            assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "invariants", str(tmp_path / "absent.json"))
@@ -250,12 +256,21 @@ class TestFailureModes:
             {"p": 3, "betti": {"0": 1}, "extra": True},   # unknown key
             {"p": 3, "betti": {"0": 1}, "name": 7},       # non-string name
             {"p": "3", "betti": {"0": 1}},                # non-integer p
+            {"p": 3, "betti": {"1_0": 1}},                # digit grouping
+            {"p": 3, "betti": {" 2 ": 1}},                # padded degree
+            {"p": 3, "betti": {"\u0661": 1}},            # Arabic-Indic digit one
+            '{"p": 3, "betti": {"0": 1, "0": 2}}',        # duplicate degree
+            '{"p": 3, "p": 5, "betti": {"0": 1}}',        # duplicate top-level key
         ]
         for payload in cases:
-            path = write_spectrum(tmp_path, payload)
-            code, _, err = run(capsys, "invariants", path)
+            if isinstance(payload, str):
+                path = tmp_path / "spec.json"
+                path.write_text(payload)
+            else:
+                path = write_spectrum(tmp_path, payload)
+            code, _, err = run(capsys, "invariants", str(path))
             assert code == 2, payload
-            assert err.startswith("error:"), payload
+            assert err.startswith("error:") and err.count("\n") == 1, payload
 
     def test_invalid_prime_is_exit_3(self, capsys, tmp_path):
         path = write_spectrum(tmp_path, {"p": 9, "betti": {"0": 1}})
@@ -271,6 +286,9 @@ class TestFailureModes:
     def test_sphere_table_bad_prime(self, capsys):
         code, _, err = run(capsys, "sphere-table", "-p", "4")
         assert code == 3
+        # at the bound of the deterministic primality test: refused, not guessed
+        code, _, err = run(capsys, "sphere-table", "-p", "3317044064679887385961981")
+        assert code == 3 and "3317044064679887385961981" in err
 
     def test_bad_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,6 @@ from iwaspectra.iwalg import (
     coefficients,
     coefficients_mod,
     eval_point,
-    evaluate_exact,
     evaluate_valuation,
     format_charpoly,
     invariants_of,
@@ -22,7 +21,7 @@ from iwaspectra.iwalg import (
 )
 from iwaspectra.padic import INFINITE, PadicValuation
 
-from oracles import euclid_inverse, horner_eval, rational_valuation
+from oracles import euclid_inverse, evaluate_exact, horner_eval, rational_valuation
 
 odd_primes = st.sampled_from([3, 5, 7, 11])
 

@@ -1,30 +1,24 @@
-"""Valuations, the (1+p)^n - 1 identity, and unit arithmetic at finite precision."""
+"""Valuations, the (1+p)^n - 1 identity, primality, and residues mod p**N."""
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iwaspectra.iwalg import CharPoly, coefficients_mod
 from iwaspectra.padic import (
     DEFAULT_PRECISION,
     INFINITE,
+    PRIMALITY_BOUND,
     NegativeValuation,
     NotAnOddPrime,
-    NotAUnit,
     OddPrime,
-    PadicApprox,
     PadicValuation,
-    PrecisionExhausted,
     ZERO,
     ZeroInput,
-    extended_valuation,
     is_odd_prime,
     one_plus_p_pow_minus_one_valuation,
-    one_plus_p_pow_minus_one_valuation_by_expansion,
-    pow_mod,
-    same_valuation,
     valuation,
 )
 
@@ -32,8 +26,19 @@ from oracles import euclid_inverse, int_valuation, rational_valuation
 
 odd_primes = st.sampled_from([3, 5, 7, 11, 13])
 
+# strong pseudoprimes to several small bases, and Carmichael numbers
+PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071728321, 3825123056546413051, 318665857834031151167461)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+
 # denominators built from these stay units at every prime we sample
 unit_parts = st.integers(min_value=1, max_value=10 ** 6)
+
+
+def expansion_valuation(p, n):
+    """nu_p((1+p)^n - 1) from the exact expansion: a big integer, or a
+    Fraction when n < 0."""
+    return rational_valuation(p, Fraction(1 + p) ** n - 1)
 
 
 def p_free(p):
@@ -73,6 +78,14 @@ class TestOddPrime:
         for n in range(-10, limit + 1):
             expected = n > 2 and n % 2 == 1 and not composite[n]
             assert is_odd_prime(n) == expected
+        for n in PSEUDOPRIMES + CARMICHAEL:
+            assert not is_odd_prime(n), n
+        for n in (1000000000000000003, 1000000000039, 2 ** 61 - 1, 2 ** 64 - 59):
+            assert is_odd_prime(n), n
+        assert not is_odd_prime(PRIMALITY_BOUND + 1)  # even, so decided anyway
+        for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2):
+            with pytest.raises(NotAnOddPrime, match=str(PRIMALITY_BOUND)):
+                is_odd_prime(n)
 
 
 class TestValuationNumber:
@@ -124,11 +137,6 @@ class TestValuation:
         assert valuation(5, Fraction(-50, 9)) == PadicValuation(2)
         assert valuation(7, Fraction(3, 4)) == ZERO
 
-    def test_extended_valuation(self):
-        assert extended_valuation(3, 0) == INFINITE
-        assert extended_valuation(3, math.inf) == INFINITE
-        assert extended_valuation(3, 18) == PadicValuation(2)
-
     @given(p=odd_primes, n=st.integers(min_value=1, max_value=10 ** 9),
            d=unit_parts)
     def test_matches_division_oracle(self, p, n, d):
@@ -144,23 +152,6 @@ class TestValuation:
         assert valuation(p, a * b) == valuation(p, a) + valuation(p, b)
 
 
-class TestSameValuation:
-    def test_contract_examples(self):
-        assert same_valuation(3, 0, math.inf) is True
-        assert same_valuation(5, 10, 15) is True
-        assert same_valuation(5, 10, 50) is False
-
-    @given(p=odd_primes,
-           xs=st.lists(st.sampled_from([0, math.inf, 1, 3, 9, 10, 15, 45, 50, -18]),
-                       min_size=3, max_size=3))
-    def test_equivalence_relation(self, p, xs):
-        a, b, c = xs
-        assert same_valuation(p, a, a)
-        assert same_valuation(p, a, b) == same_valuation(p, b, a)
-        if same_valuation(p, a, b) and same_valuation(p, b, c):
-            assert same_valuation(p, a, c)
-
-
 class TestOnePlusPPowMinusOne:
     def test_contract_examples(self):
         assert one_plus_p_pow_minus_one_valuation(5, 5) == PadicValuation(2)
@@ -174,7 +165,7 @@ class TestOnePlusPPowMinusOne:
         assert Fraction(6) ** 5 - 1 == 7775
         for p, n in [(5, 5), (3, 2), (3, -9), (5, -1), (7, 14)]:
             assert (one_plus_p_pow_minus_one_valuation(p, n)
-                    == one_plus_p_pow_minus_one_valuation_by_expansion(p, n))
+                    == PadicValuation(expansion_valuation(p, n)))
 
     def test_closed_form_matches_expansion_sweep(self):
         for p in (3, 5, 7):
@@ -182,13 +173,13 @@ class TestOnePlusPPowMinusOne:
                 if n == 0:
                     continue
                 assert (one_plus_p_pow_minus_one_valuation(p, n)
-                        == one_plus_p_pow_minus_one_valuation_by_expansion(p, n)), (p, n)
+                        == PadicValuation(expansion_valuation(p, n))), (p, n)
 
     @given(p=odd_primes, n=st.integers(min_value=-3000, max_value=3000).filter(bool))
     @settings(max_examples=200)
     def test_closed_form_matches_expansion(self, p, n):
         assert (one_plus_p_pow_minus_one_valuation(p, n)
-                == one_plus_p_pow_minus_one_valuation_by_expansion(p, n))
+                == PadicValuation(expansion_valuation(p, n)))
 
     @given(p=odd_primes, n=st.integers(min_value=1, max_value=10 ** 12))
     def test_symmetric_in_sign(self, p, n):
@@ -196,74 +187,19 @@ class TestOnePlusPPowMinusOne:
                 == one_plus_p_pow_minus_one_valuation(p, -n))
 
 
-class TestPadicApprox:
-    def test_normalizes_residue(self):
-        x = PadicApprox(3, 4, 100)
-        assert x.residue == 100 % 81
-        assert x.modulus == 81
-        assert PadicApprox(3, 4, -1).residue == 80
-
-    def test_multiplication_stays_at_precision(self):
-        x = PadicApprox(5, 3, 7)
-        y = PadicApprox(5, 3, 30)
-        assert (x * y).residue == (7 * 30) % 125
-        assert (x * y).precision == 3
-
-    def test_mismatched_precision_rejected(self):
-        with pytest.raises(ValueError):
-            PadicApprox(5, 3, 1) * PadicApprox(5, 2, 1)
-        with pytest.raises(ValueError):
-            PadicApprox(5, 3, 1) * PadicApprox(7, 3, 1)
-
-    def test_valuation_within_precision(self):
-        assert PadicApprox(3, 4, 18).valuation() == PadicValuation(2)
-        assert PadicApprox(3, 4, 7).valuation() == ZERO
-
-    def test_zero_residue_exhausts_precision(self):
-        with pytest.raises(PrecisionExhausted):
-            PadicApprox(3, 2, 9).valuation()
-
-    def test_bad_precision_rejected(self):
-        with pytest.raises(ValueError):
-            PadicApprox(3, 0, 1)
-
-
 class TestPowMod:
-    def test_contract_examples(self):
-        assert pow_mod(4, 2, 3, precision=3).residue == 16
-        assert pow_mod(4, -1, 3, precision=2).residue == 7
-        assert pow_mod(6, 0, 5, precision=4).residue == 1
+    """Powers mod p**N with the builtin pow, the route coefficients_mod takes."""
 
     def test_inverse_matches_euclid(self):
         for p, base, prec in [(3, 4, 2), (3, 5, 5), (5, 7, 3), (7, 100, 4)]:
-            assert pow_mod(base, -1, p, precision=prec).residue == euclid_inverse(base, p ** prec)
-
-    def test_non_unit_negative_power_rejected(self):
-        with pytest.raises(NotAUnit):
-            pow_mod(5, -2, 5, precision=3)
-        with pytest.raises(NotAUnit):
-            pow_mod(0, -1, 3, precision=2)
-
-    def test_non_unit_nonnegative_power_fine(self):
-        assert pow_mod(5, 2, 5, precision=3).residue == 25
-        assert pow_mod(0, 0, 3, precision=2).residue == 1
+            assert pow(base, -1, p ** prec) == euclid_inverse(base, p ** prec)
 
     def test_default_precision(self):
-        result = pow_mod(2, 3, 3)
-        assert result.residue == 8
-        assert result.precision == DEFAULT_PRECISION
+        f = CharPoly.linear(3, -1)  # constant term 3/4
+        assert coefficients_mod(f) == coefficients_mod(f, DEFAULT_PRECISION)
+        mod = 3 ** DEFAULT_PRECISION
+        assert coefficients_mod(f)[0] == 3 * euclid_inverse(4, mod) % mod
         assert DEFAULT_PRECISION >= 32
-
-    @given(p=odd_primes, base=st.integers(min_value=-50, max_value=50),
-           e1=st.integers(min_value=-6, max_value=6),
-           e2=st.integers(min_value=-6, max_value=6))
-    def test_homomorphism(self, p, base, e1, e2):
-        prec = 8
-        if base % p == 0:
-            e1, e2 = abs(e1), abs(e2)
-        assert (pow_mod(base, e1 + e2, p, precision=prec)
-                == pow_mod(base, e1, p, precision=prec)
-                * pow_mod(base, e2, p, precision=prec))
 
     def test_residue_route_matches_closed_form_identity(self):
         # valuation of (1+p)^n - 1 read off a finite-precision residue agrees
@@ -271,5 +207,7 @@ class TestPowMod:
         prec = 12
         for p in (3, 5, 7):
             for n in (1, 2, 5, -4, 12, -27):
-                shifted = PadicApprox(p, prec, pow_mod(1 + p, n, p, precision=prec).residue - 1)
-                assert shifted.valuation() == one_plus_p_pow_minus_one_valuation(p, n)
+                residue = (pow(1 + p, n, p ** prec) - 1) % p ** prec
+                assert residue != 0
+                assert (PadicValuation(int_valuation(p, residue))
+                        == one_plus_p_pow_minus_one_valuation(p, n))

@@ -16,7 +16,6 @@ from iwaspectra.spectra import (
     mu_invariant,
     strip_torsion,
     suspend,
-    torsion_free_replacement,
     total_lambda,
     wedge,
 )
@@ -81,21 +80,27 @@ class TestDual:
         assert dual(dual(X)) == X
 
 
+def parity_halves(X):
+    """The even and odd cells of X as two torsion-free spectra."""
+    return (FiniteSpectrumData(X.p, {d: r for d, r in X.betti.items() if d % 2 == 0}),
+            FiniteSpectrumData(X.p, {d: r for d, r in X.betti.items() if d % 2 != 0}))
+
+
 class TestTorsionFree:
     def test_contract_example(self):
         X = FiniteSpectrumData(3, {0: 1, 3: 1}, {1: "a"})
-        even, odd = torsion_free_replacement(X)
-        assert even == FiniteSpectrumData(3, {0: 1})
-        assert odd == FiniteSpectrumData(3, {3: 1})
-        assert even.torsion == {} and odd.torsion == {}
+        replacement = strip_torsion(X)
+        assert replacement == FiniteSpectrumData(3, {0: 1, 3: 1})
+        assert replacement.torsion == {}
 
     def test_idempotent(self, rng):
+        # the replacement is the wedge of its even and odd pieces, and
+        # replacing again changes nothing
         for _ in range(50):
             X = random_spectrum(rng, 5)
-            even, odd = torsion_free_replacement(X)
-            assert torsion_free_replacement(even) == (even, FiniteSpectrumData(5, {}))
-            assert torsion_free_replacement(odd) == (FiniteSpectrumData(5, {}), odd)
-            assert wedge(even, odd) == strip_torsion(X)
+            even, odd = parity_halves(X)
+            assert strip_torsion(X) == wedge(even, odd)
+            assert strip_torsion(strip_torsion(X)) == strip_torsion(X)
 
     def test_strip_torsion(self):
         X = FiniteSpectrumData(3, {0: 1}, {0: "a", 5: "b"})
@@ -152,7 +157,7 @@ class TestEigenspaces:
     @settings(max_examples=100)
     def test_parity_separation(self, p, betti):
         X = FiniteSpectrumData(p, betti)
-        even, odd = torsion_free_replacement(X)
+        even, odd = parity_halves(X)
         for key in eigenspace_keys(p):
             half = even if key.cohomological_degree == 0 else odd
             assert eigenspace_charpoly(X, key) == eigenspace_charpoly(half, key)
