@@ -14,8 +14,17 @@ The two agree whenever at most one summand is nontrivial in a degree.
 
 Windows must avoid the finitely many degrees where some summand contributes
 a Zp-hat (degree d or d-1 for a cell at d); the skip protocol puts m past all
-of them.  Everything here is exact rational arithmetic in a single streaming
-pass, except the final growth ratio, which divides by a float logarithm.
+of them.
+
+The window sum is taken in closed form, not degree by degree.  Writing
+p**e = 1 + (p**e - 1), a cell at d of rank r contributes r * sum_j (-1)^j,
+plus a correction at its special degrees j = d + 2(p-1)k - 1 (k != 0), where
+(-1)^j = -(-1)^d and the excess p**(1 + nu_p(k)) - 1 depends only on the
+valuation class v = nu_p(k).  The k in range with nu_p(k) >= v are counted by
+floor divisions until one k is left, whose exponent is read directly, so one
+window of length n costs O(cells * log_p n) big-integer steps.  Everything
+here is exact rational arithmetic, except the final growth ratio, which
+divides by a float logarithm.
 """
 
 from __future__ import annotations
@@ -51,19 +60,30 @@ class GradedAverage:
     value: Fraction
 
 
-def _degree_order_sum(X: FiniteSpectrumData, j: int) -> int:
-    total = 0
-    for d, r in X.betti.items():
-        e = sphere_order(X.p, j - d)
-        if not e.is_finite:
-            raise InfiniteOrderInWindow(j, d)
-        total += r * X.p ** e.value
+def _excess_sum(p: int, lo: int, hi: int, excess: list[int]) -> int:
+    """Sum over k in [lo, hi] (1 <= lo) of p**e - 1, where e is the exponent
+    of the sphere in degree 2(p-1)k - 1.  excess[v] caches that value for the
+    class nu_p(k) = v, read from sphere_order once per class; the classes
+    run up to log_p(hi - lo + 1)."""
+    total, v, step = 0, 0, 1
+    at_least = hi - lo + 1  # the k in range with nu_p(k) >= v
+    while at_least > 1:
+        if v == len(excess):
+            excess.append(p ** sphere_order(p, 2 * (p - 1) * step - 1).value - 1)
+        above = hi // (step * p) - (lo - 1) // (step * p)
+        total += (at_least - above) * excess[v]
+        v, step, at_least = v + 1, step * p, above
+    if at_least == 1:
+        # one multiple of p**v is left, and only it reaches the higher
+        # classes: read its exponent directly rather than class by class,
+        # which would take log_p(hi) steps for a window far from degree 0
+        total += p ** sphere_order(p, 2 * (p - 1) * (hi // step * step) - 1).value - 1
     return total
 
 
 def graded_average(X: FiniteSpectrumData, skip: int, length: int) -> GradedAverage:
-    """Exact alternating average over the window skip+1 .. skip+length.
-    Streams over the window; memory use does not depend on length."""
+    """Exact alternating average over the window skip+1 .. skip+length, in
+    closed form: O(cells * log_p(length)) big-integer steps."""
     if X.torsion:
         raise TorsionPresent(
             f"torsion markers present at degrees {sorted(X.torsion)}; "
@@ -72,10 +92,22 @@ def graded_average(X: FiniteSpectrumData, skip: int, length: int) -> GradedAvera
         raise ValueError(f"window length must be an int >= 1, got {length!r}")
     if not isinstance(skip, int) or isinstance(skip, bool):
         raise ValueError(f"skip must be an int, got {skip!r}")
+    a, b = skip + 1, skip + length
+    # the first degree a scan in window order would hit, cells in degree order
+    infinite = min(((j, d) for d in X.betti for j in (d - 1, d) if a <= j <= b), default=None)
+    if infinite is not None:
+        raise InfiniteOrderInWindow(*infinite)
+    p, block = X.p, 2 * (X.p - 1)
+    alternating = (b // 2 - (a - 1) // 2) - ((b + 1) // 2 - a // 2)  # sum of (-1)^j
+    excess: list[int] = []
     total = 0
-    for j in range(skip + 1, skip + length + 1):
-        term = _degree_order_sum(X, j)
-        total += term if j % 2 == 0 else -term
+    for d, r in X.betti.items():
+        # special degrees j = d + block*k - 1 in [a, b]: k in [lo, hi], k != 0;
+        # negative k count as |k|, since the exponent 1 + nu_p(k) is symmetric
+        lo, hi = -((d - a - 1) // block), (b - d + 1) // block
+        special = (_excess_sum(p, max(lo, 1), hi, excess)
+                   + _excess_sum(p, max(-hi, 1), -lo, excess))
+        total += r * (alternating - special if d % 2 == 0 else alternating + special)
     return GradedAverage(skip, length, Fraction(total, length))
 
 

@@ -102,6 +102,17 @@ def window_average_bruteforce(p: int, betti: dict, skip: int, length: int) -> Fr
     return Fraction(total, length)
 
 
+def first_infinite_in_window(p: int, betti: dict, skip: int, length: int):
+    """(degree, cell) of the first Zp-hat summand a literal scan of the window
+    meets, degrees ascending and cells in the order given; None if there is
+    none."""
+    for j in range(skip + 1, skip + length + 1):
+        for d in betti:
+            if sphere_exponent_bruteforce(p, j - d) == math.inf:
+                return j, d
+    return None
+
+
 def random_spectrum(rng, p, max_cells: int = 6, degree_bound: int = 10,
                     max_rank: int = 4, torsion_prob: float = 0.4) -> FiniteSpectrumData:
     degrees = rng.sample(range(-degree_bound, degree_bound + 1), rng.randint(0, max_cells))

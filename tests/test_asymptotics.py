@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwaspectra.asymptotics import (
     AdditivityReport,
@@ -20,7 +22,7 @@ from iwaspectra.asymptotics import (
 from iwaspectra.k1 import TorsionPresent, sphere_order
 from iwaspectra.spectra import FiniteSpectrumData, suspend, total_lambda
 
-from oracles import random_spectrum, window_average_bruteforce
+from oracles import first_infinite_in_window, random_spectrum, window_average_bruteforce
 
 S0_3 = FiniteSpectrumData(3, {0: 1})
 CP2 = {0: 1, 2: 1, 4: 1}
@@ -69,6 +71,34 @@ class TestGradedAverage:
             assert (graded_average(X, skip, length).value
                     == window_average_bruteforce(p, X.betti, skip, length))
 
+    @given(p=st.sampled_from([3, 5, 7, 11, 101]),
+           betti=st.dictionaries(st.integers(-40, 40), st.integers(1, 4), max_size=6),
+           skip=st.integers(-60, 60), length=st.integers(1, 160))
+    @settings(max_examples=400, deadline=None)
+    def test_closed_form_equals_literal_scan(self, p, betti, skip, length):
+        # windows cross degree 0 and cells sit at negative degrees; where the
+        # scan meets a Zp-hat, the error names the same degree and cell
+        X = FiniteSpectrumData(p, betti)
+        hit = first_infinite_in_window(p, X.betti, skip, length)
+        if hit is None:
+            assert (graded_average(X, skip, length).value
+                    == window_average_bruteforce(p, X.betti, skip, length))
+        else:
+            with pytest.raises(InfiniteOrderInWindow) as exc:
+                graded_average(X, skip, length)
+            assert (exc.value.degree, exc.value.cell) == hit
+
+    def test_far_windows_match_bruteforce(self, rng):
+        # windows far from degree 0, some holding a degree 2(p-1)k - 1 with
+        # k a high power of p, whose class is far above log_p(length)
+        for p in (3, 5, 7):
+            for k in (p ** 40, 7 * p ** 55, 10 ** 30):
+                X = random_spectrum(rng, p, torsion_prob=0)
+                skip = 2 * (p - 1) * k - rng.randint(1, 40)
+                length = rng.randint(1, 60)
+                assert (graded_average(X, skip, length).value
+                        == window_average_bruteforce(p, X.betti, skip, length)), (p, k)
+
     def test_negative_windows_work(self):
         # a cell at -6 is safe on windows right of 0
         X = FiniteSpectrumData(3, {-6: 1})
@@ -82,12 +112,18 @@ class TestSnClosedForm:
         assert sn_closed_form(3, 1) == Fraction(-1)
         assert sn_closed_form(3, 3) == Fraction(-2)
 
-    def test_matches_streamed_average(self):
-        for p, max_n in ((3, 5), (5, 3), (7, 3)):
+    def test_high_rungs_exact(self):
+        # rung n and the windows one and two degrees short of it, which drop
+        # degree N (trivial, +1) and degree N-1 (order p^(n+1), odd)
+        for p in (3, 5, 7, 101):
             S0 = FiniteSpectrumData(p, {0: 1})
-            for n in range(max_n + 1):
-                length = 2 * (p - 1) * p ** n
-                assert graded_average(S0, 0, length).value == sn_closed_form(p, n), (p, n)
+            for n in range(41):
+                N = 2 * (p - 1) * p ** n
+                s_n = sn_closed_form(p, n)
+                assert graded_average(S0, 0, N).value == s_n, (p, n)
+                assert graded_average(S0, 0, N - 1).value == (N * s_n - 1) / (N - 1), (p, n)
+                assert (graded_average(S0, 0, N - 2).value
+                        == (N * s_n - 1 + p ** (n + 1)) / (N - 2)), (p, n)
 
     def test_rejects_negative_rung(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -198,6 +200,33 @@ class TestGrowth:
         assert code == 0
         final_ratio = float(out.splitlines()[-1].split(",")[3])
         assert abs(final_ratio - 1) <= 0.3
+
+    def test_high_rungs_and_far_windows_answer_fast(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+        def growth(*args):
+            proc = subprocess.run(
+                [sys.executable, "-m", "iwaspectra.cli", "growth", *args, "--format", "csv"],
+                capture_output=True, text=True, env=env, timeout=10)
+            assert proc.returncode == 0, proc.stderr
+            return [line.split(",") for line in proc.stdout.splitlines()[1:]]
+
+        rows = growth(str(CORPUS / "s0_p3.json"), "--prime-override", "101", "--ladder", "4")
+        assert [row[2] for row in rows] == ["-1/2", "-1", "-3/2", "-2", "-5/2"]
+        # windows past a 4,000-digit skip
+        assert len(growth(str(CORPUS / "cp2_p5.json"), "--skip", "9" * 4000, "--ladder", "6")) == 7
+
+    def test_ladder_is_bounded(self, capsys):
+        code, out, _ = run(capsys, "growth", str(CORPUS / "s0_p3.json"),
+                           "--ladder", str(cli.MAX_LADDER), "--average-only", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[2] == f"{-1 - cli.MAX_LADDER}/2"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["growth", str(CORPUS / "s0_p3.json"), "--ladder", str(cli.MAX_LADDER + 1)])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "argument --ladder" in err and f"at most {cli.MAX_LADDER}" in err
 
 
 class TestSphereTable:
