@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .k1 import TorsionPresent, sphere_order
 from .padic import OddPrime
-from .spectra import FiniteSpectrumData, degree_window, total_lambda, wedge
+from .spectra import FiniteSpectrumData, degree_window, total_lambda
 
 
 class InfiniteOrderInWindow(ValueError):
@@ -148,25 +148,3 @@ def growth_ratio(X: FiniteSpectrumData, skip: int, length: int) -> float:
     avg = graded_average(X, skip, length)
     predicted = -lam * math.log(length, X.p) / 2
     return float(avg.value) / predicted
-
-
-@dataclass(frozen=True)
-class AdditivityReport:
-    whole: GradedAverage       # average of X v Z
-    left: GradedAverage        # average of X
-    right: GradedAverage       # average of Z
-    difference: Fraction       # whole - left - right, exact
-
-    @property
-    def is_exact(self) -> bool:
-        return self.difference == 0
-
-
-def additivity_check(X: FiniteSpectrumData, Z: FiniteSpectrumData,
-                     skip: int, length: int) -> AdditivityReport:
-    """Compare the average of X v Z against the sum of the averages, over one
-    shared window.  Exact rational arithmetic end to end; the difference is 0."""
-    whole = graded_average(wedge(X, Z), skip, length)
-    left = graded_average(X, skip, length)
-    right = graded_average(Z, skip, length)
-    return AdditivityReport(whole, left, right, whole.value - left.value - right.value)

@@ -19,7 +19,7 @@ import re
 import sys
 
 from .asymptotics import LambdaZero, default_skip, graded_average, growth_ratio, ladder
-from .iwalg import coefficients_mod, format_charpoly, invariants_of
+from .iwalg import coefficients_mod, format_charpoly
 from .k1 import sphere_order
 from .padic import DEFAULT_PRECISION, NotAnOddPrime, OddPrime, PadicValuation
 from .spectra import (
@@ -159,12 +159,16 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def emit(fmt, payload, headers, rows, lead) -> None:
-    """Write one result to stdout: payload as JSON, rows as CSV, or the lead
-    line(s) over the rows as a table."""
+def emit(fmt, payload, records, headers, lead) -> None:
+    """Write one result to stdout: payload as JSON, or one row per record
+    (its values under headers) as CSV or as a table under the lead line(s).
+    Booleans print as true/false, everything else as str."""
     if fmt == "json":
         sys.stdout.write(render_json(payload))
-    elif fmt == "csv":
+        return
+    rows = [[str(r[h]).lower() if isinstance(r[h], bool) else str(r[h]) for h in headers]
+            for r in records]
+    if fmt == "csv":
         sys.stdout.write(render_csv(headers, rows))
     else:
         sys.stdout.write(lead + "\n" + render_table(headers, rows))
@@ -175,14 +179,13 @@ def emit(fmt, payload, headers, rows, lead) -> None:
 def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
     window = degree_window(X)
     eigenspaces = []
-    for key in eigenspace_keys(X.p):
-        f = eigenspace_charpoly(X, key)
-        inv = invariants_of(f)
+    for degree, j in eigenspace_keys(X.p):
+        f = eigenspace_charpoly(X, (degree, j))
         eigenspaces.append({
-            "degree": key.cohomological_degree,
-            "j": key.j,
-            "lambda": inv.lambda_,
-            "mu": inv.mu,
+            "degree": degree,
+            "j": j,
+            "lambda": f.degree,
+            "mu": f.mu,
             "factors": [[i, mult] for i, mult in f.factors],
             "charpoly": format_charpoly(f),
             "coefficients_mod": coefficients_mod(f, precision),
@@ -202,12 +205,11 @@ def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
 def cmd_invariants(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
     payload = invariants_payload(name, X, args.precision)
-    rows = [[str(e["degree"]), str(e["j"]), str(e["lambda"]), str(e["mu"]), e["charpoly"]]
-            for e in payload["eigenspaces"]]
     window = "empty" if payload["alpha"] is None else f"[{payload['alpha']}, {payload['beta']}]"
     lead = (f"name: {name or '-'}\np = {payload['p']}  chi = {payload['chi']}  "
             f"total_lambda = {payload['total_lambda']}\ndegree window: {window}")
-    emit(args.format, payload, ["degree", "j", "lambda", "mu", "charpoly"], rows, lead)
+    emit(args.format, payload, payload["eigenspaces"],
+         ["degree", "j", "lambda", "mu", "charpoly"], lead)
     return EXIT_OK
 
 
@@ -234,13 +236,11 @@ def cmd_imc(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
     a, b = args.m_range
     report = verify_weak_imc(X, range(a, b + 1))
-    rows = [[str(r.m), str(r.side), str(r.lhs_valuation), str(r.rhs_valuation),
-             "true" if r.in_window else "false", "true" if r.match else "false"]
-            for r in report.records]
+    payload = imc_payload(name, report)
     lead = (f"p = {int(report.p)}  m in [{a}, {b}]  "
             f"in-window mismatches: {len(report.in_window_mismatches)}")
-    emit(args.format, imc_payload(name, report),
-         ["m", "side", "lhs_val", "rhs_val", "in_window", "match"], rows, lead)
+    emit(args.format, payload, payload["records"],
+         ["m", "side", "lhs_val", "rhs_val", "in_window", "match"], lead)
     return EXIT_OK if report.ok else EXIT_FAILED
 
 
@@ -253,36 +253,29 @@ def cmd_growth(args) -> int:
     if lam == 0 and not args.average_only:
         raise LambdaZero("total lambda is 0; rerun with --average-only for the bare averages")
     skip = default_skip(X) + args.skip
-    rows = []
     records = []
     for k, n in enumerate(ladder(X.p, args.ladder)):
         avg = graded_average(X, skip, n)
         record = {"k": k, "n": n, "skip": skip, "average": str(avg.value)}
-        row = [str(k), str(n), str(avg.value)]
         if not args.average_only:
-            ratio = growth_ratio(X, skip, n)
-            record["ratio"] = f"{ratio:.6f}"
-            row.append(f"{ratio:.6f}")
+            record["ratio"] = f"{growth_ratio(X, skip, n):.6f}"
         records.append(record)
-        rows.append(row)
     headers = ["k", "n", "average"] + ([] if args.average_only else ["ratio"])
     payload = {"name": name, "p": int(X.p), "total_lambda": lam, "skip": skip, "rows": records}
     lead = f"p = {int(X.p)}  total_lambda = {lam}  skip = {skip}"
-    emit(args.format, payload, headers, rows, lead)
+    emit(args.format, payload, records, headers, lead)
     return EXIT_OK
 
 
 def cmd_sphere_table(args) -> int:
     p = OddPrime(args.prime)
     a, b = args.t_range
-    rows = []
     records = []
     for t in range(a, b + 1):
         e = sphere_order(p, t)
         order = str(p ** e.value) if e.is_finite else "inf"
-        rows.append([str(t), str(e), order])
         records.append({"t": t, "exponent": val_json(e), "order": order})
-    emit(args.format, {"p": int(p), "rows": records}, ["t", "exponent", "order"], rows,
+    emit(args.format, {"p": int(p), "rows": records}, records, ["t", "exponent", "order"],
          f"p = {int(p)}")
     return EXIT_OK
 
@@ -300,25 +293,21 @@ def _range_arg(text: str):
     return a, b
 
 
-def _positive_int(text: str):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _nonnegative_int(text: str):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _ladder_top(text: str):
-    value = _nonnegative_int(text)
-    if value > MAX_LADDER:
-        raise argparse.ArgumentTypeError(f"at most {MAX_LADDER} rungs, got {text!r}")
-    return value
+def _int_arg(low: int, high: int | None = None):
+    """An argparse type for integers in [low, high].  Every failure is an
+    ArgumentTypeError, so the usage error names the flag and the range,
+    never this helper."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"expected at most {high}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="eigenspace lambda/mu and charpolys of a spectrum")
     p_inv.add_argument("file", help="spectrum description JSON")
     p_inv.add_argument("--prime-override", type=int, default=None, metavar="P")
-    p_inv.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION, metavar="N",
+    p_inv.add_argument("--precision", type=_int_arg(1), default=DEFAULT_PRECISION, metavar="N",
                        help="p-adic digits for expanded coefficients (default %(default)s)")
     add_format(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
@@ -349,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_growth = sub.add_parser("growth", help="graded averages along the window ladder")
     p_growth.add_argument("file")
-    p_growth.add_argument("--ladder", type=_ladder_top, default=6, metavar="K",
+    p_growth.add_argument("--ladder", type=_int_arg(0, MAX_LADDER), default=6, metavar="K",
                           help="top rung: windows 2(p-1)p^k for k = 0..K, "
                                f"K <= {MAX_LADDER} (default %(default)s)")
-    p_growth.add_argument("--skip", type=_nonnegative_int, default=0, metavar="M",
+    p_growth.add_argument("--skip", type=_int_arg(0), default=0, metavar="M",
                           help="extra degrees to skip beyond the automatic safe offset")
     p_growth.add_argument("--average-only", action="store_true",
                           help="omit ratios (required when total lambda is 0)")

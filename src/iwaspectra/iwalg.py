@@ -6,8 +6,9 @@ monic linear factors
     f(T) = prod_i (T - (1+p)^i + 1) ** multiplicity_i
 
 so a CharPoly stores the exponent data (i, multiplicity) instead of
-coefficients.  The constant polynomial 1 is the empty product.  Degree is the
-lambda invariant; mu is identically zero in this regime.
+coefficients.  The constant polynomial 1 is the empty product.  The Iwasawa
+invariants are read straight off a CharPoly: lambda is its degree, and mu is
+the class constant 0.
 
 Valuations of special values f((1+p)^s - 1) are computed factor-wise through
 the identity nu_p((1+p)^n - 1) = 1 + nu_p(n), so no big numbers are ever
@@ -29,10 +30,6 @@ from .padic import (
 )
 
 
-class PrimeMismatch(ValueError):
-    """Polynomials over different primes cannot be combined."""
-
-
 @dataclass(frozen=True)
 class CharPoly:
     """Monic polynomial prod (T - (1+p)^i + 1)^mult, stored by its factors.
@@ -44,6 +41,10 @@ class CharPoly:
     p: int
     factors: tuple[tuple[int, int], ...] = ()
 
+    # every factor is monic and linear, so no power of p divides the
+    # polynomial: the mu invariant is 0
+    mu = 0
+
     def __post_init__(self):
         object.__setattr__(self, "p", OddPrime(self.p))
         merged: dict[int, int] = {}
@@ -53,51 +54,13 @@ class CharPoly:
             merged[i] = merged.get(i, 0) + mult
         object.__setattr__(self, "factors", tuple(sorted(merged.items())))
 
-    @classmethod
-    def one(cls, p) -> "CharPoly":
-        return cls(p, ())
-
-    @classmethod
-    def linear(cls, p, i: int) -> "CharPoly":
-        return cls(p, ((i, 1),))
-
     @property
     def degree(self) -> int:
+        """The lambda invariant."""
         return sum(mult for _, mult in self.factors)
-
-    def __mul__(self, other):
-        if not isinstance(other, CharPoly):
-            return NotImplemented
-        return multiply(self, other)
 
     def __str__(self):
         return format_charpoly(self)
-
-
-@dataclass(frozen=True)
-class IwasawaInvariants:
-    lambda_: int
-    mu: int
-    charpoly: "CharPoly"
-
-
-def sphere_charpoly(p, i: int, j: int) -> CharPoly:
-    """Characteristic polynomial of the weight-j eigenspace seen by an
-    even cell in degree 2i: linear when i = j mod p-1, else 1."""
-    p = OddPrime(p)
-    if (i - j) % (p - 1) == 0:
-        return CharPoly.linear(p, i)
-    return CharPoly.one(p)
-
-
-def multiply(f: CharPoly, g: CharPoly) -> CharPoly:
-    if f.p != g.p:
-        raise PrimeMismatch(f"cannot multiply polynomials at p={f.p} and p={g.p}")
-    return CharPoly(f.p, f.factors + g.factors)
-
-
-def invariants_of(f: CharPoly) -> IwasawaInvariants:
-    return IwasawaInvariants(lambda_=f.degree, mu=0, charpoly=f)
 
 
 def eval_point(p, s: int) -> Fraction:

@@ -8,20 +8,25 @@ computed from the betti map alone.  Two data objects related by replacing a
 spectrum with its torsion-free wedge replacement therefore always produce
 identical outputs; no finer notion of equivalence is modeled.
 
-p-adically completed K-theory splits into 2(p-1) eigenspaces, indexed by a
-cohomological degree (0 or -1) and a weight j mod p-1.  Each eigenspace of
-each spectrum here is an Iwasawa module with a linear-factor characteristic
-polynomial; eigenspace_charpoly assembles it from the betti map, with an even
-cell in degree 2i contributing exponent i and an odd cell in degree 2i-1
-contributing exponent i (the suspension-consistent convention).
+p-adically completed K-theory splits into 2(p-1) eigenspaces, keyed by the
+pair (degree, j) of a cohomological degree (0 or -1) and a weight j mod p-1.
+Each eigenspace of each spectrum here is an Iwasawa module with a
+linear-factor characteristic polynomial; eigenspace_charpoly assembles it
+from the betti map, with an even cell in degree 2i contributing exponent i
+and an odd cell in degree 2i-1 contributing exponent i (the
+suspension-consistent convention).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .iwalg import CharPoly, PrimeMismatch, invariants_of
+from .iwalg import CharPoly
 from .padic import OddPrime
+
+
+class PrimeMismatch(ValueError):
+    """Spectra over different primes cannot be combined."""
 
 
 @dataclass(frozen=True)
@@ -44,29 +49,11 @@ class FiniteSpectrumData:
         object.__setattr__(self, "torsion", dict(sorted(self.torsion.items())))
 
 
-@dataclass(frozen=True)
-class EigenspaceKey:
-    cohomological_degree: int  # 0 or -1
-    j: int
-
-    def __post_init__(self):
-        if self.cohomological_degree not in (0, -1):
-            raise ValueError(f"cohomological degree must be 0 or -1, got {self.cohomological_degree!r}")
-        if not isinstance(self.j, int) or isinstance(self.j, bool):
-            raise ValueError(f"eigenspace weight must be an int, got {self.j!r}")
-
-
-def _as_key(key) -> EigenspaceKey:
-    if isinstance(key, EigenspaceKey):
-        return key
-    degree, j = key
-    return EigenspaceKey(degree, j)
-
-
-def eigenspace_keys(p) -> tuple[EigenspaceKey, ...]:
-    """The 2(p-1) canonical keys: degree 0 then -1, j ascending in [0, p-2]."""
+def eigenspace_keys(p) -> tuple[tuple[int, int], ...]:
+    """The 2(p-1) canonical (degree, j) keys: degree 0 then -1, j ascending
+    in [0, p-2]."""
     p = OddPrime(p)
-    return tuple(EigenspaceKey(deg, j) for deg in (0, -1) for j in range(p - 1))
+    return tuple((degree, j) for degree in (0, -1) for j in range(p - 1))
 
 
 def euler_characteristic(X: FiniteSpectrumData) -> int:
@@ -114,37 +101,24 @@ def eigenspace_charpoly(X: FiniteSpectrumData, key) -> CharPoly:
     degree 2i or 2i-1 lands in weight i mod p-1 with factor exponent i and
     multiplicity its rank.  Any integer j is accepted and reduced mod p-1.
     """
-    key = _as_key(key)
-    p = X.p
-    j = key.j % (p - 1)
-    factors = []
-    for d, r in X.betti.items():
-        if key.cohomological_degree == 0:
-            if d % 2 != 0:
-                continue
-            i = d // 2
-        else:
-            if d % 2 == 0:
-                continue
-            i = (d + 1) // 2
-        if (i - j) % (p - 1) == 0:
-            factors.append((i, r))
-    return CharPoly(p, tuple(factors))
+    degree, j = key
+    if degree not in (0, -1):
+        raise ValueError(f"cohomological degree must be 0 or -1, got {degree!r}")
+    if not isinstance(j, int) or isinstance(j, bool):
+        raise ValueError(f"eigenspace weight must be an int, got {j!r}")
+    period = X.p - 1
+    parity = 0 if degree == 0 else 1
+    # (d + 1) // 2 is i both for d = 2i and for d = 2i - 1
+    return CharPoly(X.p, tuple(((d + 1) // 2, r) for d, r in X.betti.items()
+                               if d % 2 == parity and ((d + 1) // 2 - j) % period == 0))
 
 
 def total_lambda(X: FiniteSpectrumData) -> int:
     """Alternating sum of eigenspace lambda invariants (degree 0 minus
     degree -1).  Equals the Euler characteristic; computed the long way
     through the eigenspace polynomials on purpose."""
-    total = 0
-    for key in eigenspace_keys(X.p):
-        sign = 1 if key.cohomological_degree == 0 else -1
-        total += sign * invariants_of(eigenspace_charpoly(X, key)).lambda_
-    return total
-
-
-def mu_invariant(X: FiniteSpectrumData, key) -> int:
-    return invariants_of(eigenspace_charpoly(X, key)).mu
+    return sum(eigenspace_charpoly(X, (degree, j)).degree * (1 if degree == 0 else -1)
+               for degree, j in eigenspace_keys(X.p))
 
 
 def degree_window(X: FiniteSpectrumData):

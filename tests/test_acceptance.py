@@ -10,14 +10,13 @@ import time
 from fractions import Fraction
 
 from iwaspectra.asymptotics import (
-    additivity_check,
     default_skip,
     graded_average,
     growth_ratio,
     ladder,
     sn_closed_form,
 )
-from iwaspectra.imc import verify_sphere_simc, verify_weak_imc
+from iwaspectra.imc import verify_weak_imc
 from iwaspectra.k1 import sphere_order
 from iwaspectra.padic import one_plus_p_pow_minus_one_valuation
 from iwaspectra.spectra import (
@@ -25,13 +24,11 @@ from iwaspectra.spectra import (
     eigenspace_charpoly,
     eigenspace_keys,
     euler_characteristic,
-    mu_invariant,
     strip_torsion,
     suspend,
     total_lambda,
     wedge,
 )
-from iwaspectra.iwalg import invariants_of
 
 from oracles import int_valuation, random_spectrum, sphere_exponent_bruteforce
 
@@ -85,13 +82,18 @@ def test_03_sphere_simc_sweep():
     start = time.perf_counter()
     total, mismatched, infinite_cases = 0, [], 0
     for p in PRIMES:
-        rep = verify_sphere_simc(p, range(-6, 7), range(-200, 201))
-        total += len(rep.records)
-        mismatched.extend(rep.mismatches)
-        for r in rep.records:
-            if not r.lhs_valuation.is_finite:
-                assert r.n == 1 - r.i and not r.rhs_valuation.is_finite
-                infinite_cases += 1
+        for i in range(-6, 7):
+            # the sphere S^{2i}; its side-(2m-1) records hold at every m,
+            # n = m + 1 in [-200, 200]
+            rep = verify_weak_imc(FiniteSpectrumData(p, {2 * i: 1}), range(-201, 200))
+            assert rep.ok
+            odd = [r for r in rep.records if r.side == 2 * r.m - 1]
+            total += len(odd)
+            mismatched.extend(r for r in odd if not r.match)
+            for r in odd:
+                if not r.lhs_valuation.is_finite:
+                    assert r.m == -i and not r.rhs_valuation.is_finite
+                    infinite_cases += 1
     elapsed = time.perf_counter() - start
     ok = not mismatched and infinite_cases == 13 * len(PRIMES)
     report(3, f"sphere main conjecture, {total} comparisons incl. {infinite_cases} infinite",
@@ -129,9 +131,8 @@ def test_05_lambda_equals_euler_characteristic():
         group = by_prime[p]
         for X, Y in zip(group[0::2], group[1::2]):
             for key in eigenspace_keys(p):
-                lam = invariants_of(eigenspace_charpoly(wedge(X, Y), key)).lambda_
-                parts = (invariants_of(eigenspace_charpoly(X, key)).lambda_
-                         + invariants_of(eigenspace_charpoly(Y, key)).lambda_)
+                lam = eigenspace_charpoly(wedge(X, Y), key).degree
+                parts = eigenspace_charpoly(X, key).degree + eigenspace_charpoly(Y, key).degree
                 if lam != parts:
                     bad_additivity.append((X, Y, key))
     elapsed = time.perf_counter() - start
@@ -146,7 +147,7 @@ def test_06_mu_vanishes_everywhere():
     start = time.perf_counter()
     spectra = corpus(seed=43, per_prime=100)
     nonzero = [(X, key) for X in spectra for key in eigenspace_keys(X.p)
-               if mu_invariant(X, key) != 0]
+               if eigenspace_charpoly(X, key).mu != 0]
     elapsed = time.perf_counter() - start
     report(6, f"mu = 0 for every eigenspace of {len(spectra)} corpus spectra",
            not nonzero, elapsed)
@@ -254,9 +255,11 @@ def test_09_wedge_additivity_of_averages():
         Z = random_spectrum(rng, p, torsion_prob=0)
         skip = default_skip(wedge(X, Z)) + rng.randint(0, 2)
         length = rng.randint(1, 300)
-        result = additivity_check(X, Z, skip, length)
-        if not result.is_exact:
-            inexact.append((X.betti, Z.betti, skip, length, result.difference))
+        difference = (graded_average(wedge(X, Z), skip, length).value
+                      - graded_average(X, skip, length).value
+                      - graded_average(Z, skip, length).value)
+        if difference != 0:
+            inexact.append((X.betti, Z.betti, skip, length, difference))
     elapsed = time.perf_counter() - start
     report(9, "graded-average additivity, 50 random wedge pairs, exact",
            not inexact, elapsed, 10)

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwaspectra.asymptotics import (
-    AdditivityReport,
     GradedAverage,
     InfiniteOrderInWindow,
     LambdaZero,
-    additivity_check,
     default_skip,
     graded_average,
     growth_ratio,
@@ -20,7 +18,7 @@ from iwaspectra.asymptotics import (
     sn_closed_form,
 )
 from iwaspectra.k1 import TorsionPresent, sphere_order
-from iwaspectra.spectra import FiniteSpectrumData, suspend, total_lambda
+from iwaspectra.spectra import FiniteSpectrumData, suspend, total_lambda, wedge
 
 from oracles import first_infinite_in_window, random_spectrum, window_average_bruteforce
 
@@ -177,19 +175,19 @@ class TestGrowthRatio:
             assert late < early
 
 
+def wedge_defect(X, Z, skip, length):
+    """Average of X v Z minus the sum of the averages, over one window."""
+    return (graded_average(wedge(X, Z), skip, length).value
+            - graded_average(X, skip, length).value - graded_average(Z, skip, length).value)
+
+
 class TestAdditivity:
     def test_contract_examples(self):
-        r1 = additivity_check(S0_3, S0_3, 0, 12)
-        assert r1.is_exact and r1.difference == 0
-        r2 = additivity_check(FiniteSpectrumData(3, {2: 1}), FiniteSpectrumData(3, {4: 1}), 4, 100)
-        assert r2.difference == 0
-        r3 = additivity_check(FiniteSpectrumData(3, {0: 1}), FiniteSpectrumData(3, {1: 1}), 1, 50)
-        assert r3.difference == 0
-
-    def test_reports_carry_all_three_averages(self):
-        r = additivity_check(S0_3, S0_3, 0, 12)
-        assert r.whole.value == r.left.value + r.right.value
-        assert r.left == graded_average(S0_3, 0, 12)
+        assert graded_average(wedge(S0_3, S0_3), 0, 12).value == -2
+        assert wedge_defect(S0_3, S0_3, 0, 12) == 0
+        S2, S4 = FiniteSpectrumData(3, {2: 1}), FiniteSpectrumData(3, {4: 1})
+        assert wedge_defect(S2, S4, 4, 100) == 0
+        assert wedge_defect(S0_3, FiniteSpectrumData(3, {1: 1}), 1, 50) == 0
 
     def test_random_pairs_exact(self, rng):
         for _ in range(60):
@@ -197,7 +195,7 @@ class TestAdditivity:
             X = random_spectrum(rng, p, torsion_prob=0)
             Z = random_spectrum(rng, p, torsion_prob=0)
             skip = max(default_skip(X), default_skip(Z)) + rng.randint(0, 2)
-            assert additivity_check(X, Z, skip, rng.randint(1, 120)).is_exact
+            assert wedge_defect(X, Z, skip, rng.randint(1, 120)) == 0
 
 
 def envelope_sequences(p, max_rung):

@@ -325,6 +325,21 @@ class TestFailureModes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("growth", "--ladder", "x"),
+        ("invariants", "--precision", "y"),
+        ("growth", "--skip", "z"),
+        ("invariants", "--precision", "0"),
+        ("growth", "--skip", "-1"),
+    ])
+    def test_bad_integer_flag_names_the_flag(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(CORPUS / "s0_p3.json"), f"{flag}={value}"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert f"argument {flag}" in err and repr(value) in err
+        assert " _" not in err and "invalid" not in err
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -1,20 +1,30 @@
-"""Both main-conjecture comparisons, driven by the two independent routes."""
+"""The weak main-conjecture comparison, driven by the two independent routes,
+and its sphere case: a spectrum with one even cell."""
 
-import pytest
+from fractions import Fraction
 
-from iwaspectra.imc import (
-    ImcRecord,
-    in_strict_window,
-    verify_sphere_simc,
-    verify_weak_imc,
-)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from iwaspectra.imc import ImcRecord, in_strict_window, verify_weak_imc
+from iwaspectra.iwalg import CharPoly
 from iwaspectra.padic import INFINITE, PadicValuation
 from iwaspectra.spectra import FiniteSpectrumData, strip_torsion, suspend
 
-from oracles import random_spectrum
+from oracles import evaluate_exact, random_spectrum, rational_valuation, sphere_exponent_bruteforce
 
 CP2 = {0: 1, 2: 1, 4: 1}
 S0_3 = FiniteSpectrumData(3, {0: 1})
+
+
+def sphere(p, i: int) -> FiniteSpectrumData:
+    """S^{2i}, one cell in degree 2i."""
+    return FiniteSpectrumData(p, {2 * i: 1})
+
+
+def odd_side(report) -> list[ImcRecord]:
+    """The side-(2m-1) records, where a sphere's comparison holds at every m."""
+    return [r for r in report.records if r.side == 2 * r.m - 1]
 
 
 def record_at(report, m: int, side: int) -> ImcRecord:
@@ -148,28 +158,45 @@ class TestWeakImc:
 
 class TestSphereSimc:
     def test_contract_examples(self):
-        report = verify_sphere_simc(3, [0], [5])
-        (rec,) = report.records
-        assert rec.j == (1 - 5) % 2 == 0
+        rec = record_at(verify_weak_imc(sphere(3, 0), [4]), 4, 7)
         assert rec.lhs_valuation == rec.rhs_valuation == PadicValuation(1)
 
-        report = verify_sphere_simc(3, [0], [1])
-        (rec,) = report.records
+        rec = record_at(verify_weak_imc(sphere(3, 0), [0]), 0, -1)
         assert rec.lhs_valuation == rec.rhs_valuation == INFINITE
         assert rec.match
 
-        report = verify_sphere_simc(7, [3], [4])
-        (rec,) = report.records
+        rec = record_at(verify_weak_imc(sphere(7, 3), [3]), 3, 5)
         assert rec.lhs_valuation == rec.rhs_valuation == PadicValuation(1)
 
     def test_small_sweep_all_match(self):
         for p in (3, 5, 7):
-            report = verify_sphere_simc(p, range(-6, 7), range(-50, 51))
-            assert report.ok
-            assert len(report.records) == 13 * 101
+            for i in range(-6, 7):
+                report = verify_weak_imc(sphere(p, i), range(-51, 50))
+                assert report.ok
+                records = odd_side(report)
+                assert len(records) == 101
+                assert all(r.match for r in records), (p, i)
 
     def test_infinite_case_sits_at_n_equals_1_minus_i(self):
-        report = verify_sphere_simc(3, range(-3, 4), range(-10, 11))
-        for rec in report.records:
-            infinite = not rec.lhs_valuation.is_finite
-            assert infinite == (rec.n == 1 - rec.i)
+        # n = m + 1 in the sphere's own indexing, so n = 1 - i is m = -i
+        for i in range(-3, 4):
+            for rec in odd_side(verify_weak_imc(sphere(3, i), range(-11, 10))):
+                assert (not rec.lhs_valuation.is_finite) == (rec.m == -i)
+
+    @given(p=st.sampled_from([3, 5, 7, 11, 101]), i=st.integers(-20, 20),
+           m=st.integers(-300, 300))
+    @example(p=3, i=2, m=-2)
+    @example(p=101, i=-20, m=120)
+    @settings(max_examples=300, deadline=None)
+    def test_sphere_route_matches_bruteforce(self, p, i, m):
+        rec = record_at(verify_weak_imc(sphere(p, i), [m]), m, 2 * m - 1)
+        assert rec.lhs_valuation.value == sphere_exponent_bruteforce(p, 2 * (m + i) - 1)
+        if (i + m) % (p - 1) != 0:
+            assert rec.rhs_valuation == PadicValuation(0)
+        elif m == -i:
+            assert rec.rhs_valuation == INFINITE
+        else:
+            # the linear factor at i, evaluated at (1+p)^(-m) - 1 exactly
+            exact = evaluate_exact(CharPoly(p, ((i, 1),)), Fraction(1 + p) ** -m - 1)
+            assert rec.rhs_valuation == PadicValuation(rational_valuation(p, exact))
+        assert rec.match

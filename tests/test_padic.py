@@ -195,7 +195,7 @@ class TestPowMod:
             assert pow(base, -1, p ** prec) == euclid_inverse(base, p ** prec)
 
     def test_default_precision(self):
-        f = CharPoly.linear(3, -1)  # constant term 3/4
+        f = CharPoly(3, ((-1, 1),))  # constant term 3/4
         assert coefficients_mod(f) == coefficients_mod(f, DEFAULT_PRECISION)
         mod = 3 ** DEFAULT_PRECISION
         assert coefficients_mod(f)[0] == 3 * euclid_inverse(4, mod) % mod
