@@ -376,20 +376,37 @@ class TestPrimeOverride:
         assert payload["chi"] == 3
 
 class TestBenchReferences:
-    def test_cli_corpus_pool_is_byte_identical(self, tmp_path, monkeypatch):
-        # every call of the benchmark's cli-corpus pool, in-process, against
-        # the exit code and stdout digest recorded in bench/references.json
+    """Benchmark calls, in-process, against the exit code and stdout digest
+    recorded in bench/references.json."""
+
+    @pytest.fixture
+    def workloads(self, monkeypatch):
         spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-        spec.loader.exec_module(workloads)
-        references = json.loads((BENCH / "references.json").read_text())["calls"]
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+        spec.loader.exec_module(module)
         monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
-        calls = workloads.pool("cli-corpus", tmp_path, CORPUS)
-        assert len(calls) == 108
+        return module
+
+    @staticmethod
+    def assert_recorded(calls):
+        references = json.loads((BENCH / "references.json").read_text())["calls"]
         for call in calls:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(list(call.argv))
             digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
             assert [code, digest] == references[call.key], call.argv
+
+    def test_cli_corpus_pool_is_byte_identical(self, tmp_path, workloads):
+        calls = workloads.pool("cli-corpus", tmp_path, CORPUS)
+        assert len(calls) == 108
+        self.assert_recorded(calls)
+
+    def test_spectra_sweep_slots_are_byte_identical(self, tmp_path, workloads):
+        # the pool is variant-major, so its first slice is variant 0 of every
+        # slot: imc over hundreds of m and invariants at p = 1009 and 10007
+        calls = workloads.pool("spectra-sweep", tmp_path, CORPUS)
+        slots = len(calls) // workloads.POOL_VARIANTS
+        assert slots == 17
+        self.assert_recorded(calls[:slots])
