@@ -14,7 +14,7 @@ from .spectra import (
 from .k1 import TorsionPresent, k1_order_of_dual_replacement, sphere_order, wedge_order
 from .asymptotics import (
     GradedAverage, InfiniteOrderInWindow, LambdaZero, default_skip, graded_average,
-    growth_ratio, ladder, sn_closed_form,
+    growth_ratio, ladder,
 )
 from .imc import ImcRecord, ImcReport, in_strict_window, verify_weak_imc
 

@@ -111,15 +111,6 @@ def graded_average(X: FiniteSpectrumData, skip: int, length: int) -> GradedAvera
     return GradedAverage(skip, length, Fraction(total, length))
 
 
-def sn_closed_form(p, n: int) -> Fraction:
-    """The sphere's average over the window 1 .. 2(p-1)p^n: exactly (-1-n)/2,
-    for every odd prime p."""
-    OddPrime(p)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"rung must be an int >= 0, got {n!r}")
-    return Fraction(-1 - n, 2)
-
-
 def default_skip(X: FiniteSpectrumData) -> int:
     """Smallest safe m under the skip protocol: past every degree with an
     infinite summand (those sit in [alpha-1, beta]), never negative."""

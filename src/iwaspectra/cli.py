@@ -178,17 +178,23 @@ def emit(fmt, payload, records, headers, lead) -> None:
 
 def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
     window = degree_window(X)
+    # rendered once per distinct polynomial: most of the 2(p-1) rows are the
+    # constant 1 when p is large
+    rendered = {}
     eigenspaces = []
     for degree, j in eigenspace_keys(X.p):
         f = eigenspace_charpoly(X, (degree, j))
+        if f.factors not in rendered:
+            rendered[f.factors] = format_charpoly(f), coefficients_mod(f, precision)
+        charpoly, coeffs = rendered[f.factors]
         eigenspaces.append({
             "degree": degree,
             "j": j,
             "lambda": f.degree,
             "mu": f.mu,
             "factors": [[i, mult] for i, mult in f.factors],
-            "charpoly": format_charpoly(f),
-            "coefficients_mod": coefficients_mod(f, precision),
+            "charpoly": charpoly,
+            "coefficients_mod": coeffs,
         })
     return {
         "name": name,
@@ -282,10 +288,18 @@ def cmd_sphere_table(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _ascii_int(text: str) -> int:
+    """int(text) under the loader's rule for degree keys (DEGREE_KEY): ASCII
+    decimal only, so no '_', padding or other scripts' digits."""
+    if not DEGREE_KEY.fullmatch(text):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def _range_arg(text: str):
     try:
         lo, hi = text.split("..", 1)
-        a, b = int(lo), int(hi)
+        a, b = _ascii_int(lo), _ascii_int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a..b with integers, got {text!r}")
     if a > b:
@@ -293,16 +307,16 @@ def _range_arg(text: str):
     return a, b
 
 
-def _int_arg(low: int, high: int | None = None):
-    """An argparse type for integers in [low, high].  Every failure is an
-    ArgumentTypeError, so the usage error names the flag and the range,
-    never this helper."""
+def _int_arg(low: int | None = None, high: int | None = None):
+    """An argparse type for integers in [low, high] (either end may be open).
+    Every failure is an ArgumentTypeError, so the usage error names the flag
+    and the range, never this helper."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = _ascii_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"expected at most {high}, got {text!r}")
@@ -323,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="eigenspace lambda/mu and charpolys of a spectrum")
     p_inv.add_argument("file", help="spectrum description JSON")
-    p_inv.add_argument("--prime-override", type=int, default=None, metavar="P")
+    p_inv.add_argument("--prime-override", type=_int_arg(), default=None, metavar="P")
     p_inv.add_argument("--precision", type=_int_arg(1), default=DEFAULT_PRECISION, metavar="N",
                        help="p-adic digits for expanded coefficients (default %(default)s)")
     add_format(p_inv)
@@ -332,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_imc = sub.add_parser("imc", help="weak main-conjecture comparison over a range of m")
     p_imc.add_argument("file")
     p_imc.add_argument("--m-range", type=_range_arg, default=(-10, 10), metavar="A..B")
-    p_imc.add_argument("--prime-override", type=int, default=None, metavar="P")
+    p_imc.add_argument("--prime-override", type=_int_arg(), default=None, metavar="P")
     add_format(p_imc)
     p_imc.set_defaults(func=cmd_imc)
 
@@ -345,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="extra degrees to skip beyond the automatic safe offset")
     p_growth.add_argument("--average-only", action="store_true",
                           help="omit ratios (required when total lambda is 0)")
-    p_growth.add_argument("--prime-override", type=int, default=None, metavar="P")
+    p_growth.add_argument("--prime-override", type=_int_arg(), default=None, metavar="P")
     add_format(p_growth)
     p_growth.set_defaults(func=cmd_growth)
 
     p_tab = sub.add_parser("sphere-table", help="orders of K(1)-local sphere homotopy groups")
-    p_tab.add_argument("-p", "--prime", type=int, required=True)
+    p_tab.add_argument("-p", "--prime", type=_int_arg(), required=True)
     p_tab.add_argument("--t-range", type=_range_arg, default=(-10, 50), metavar="A..B")
     add_format(p_tab)
     p_tab.set_defaults(func=cmd_sphere_table)

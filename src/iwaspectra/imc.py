@@ -75,12 +75,14 @@ def in_strict_window(X: FiniteSpectrumData, m: int) -> bool:
 
 def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:
     """Run the comparison for every m in m_range, both sides per m."""
+    ms = list(m_range)
+    sides = [t for m in ms for t in (2 * m - 1, 2 * m)]
+    lhs_values = iter(k1_order_of_dual_replacement(X, sides))
     records = []
-    for m in m_range:
+    for m in ms:
         inside = in_strict_window(X, m)
         for side, degree in ((2 * m - 1, 0), (2 * m, -1)):
-            lhs = k1_order_of_dual_replacement(X, side)
-            f = eigenspace_charpoly(X, (degree, -m))
-            rhs = evaluate_valuation(f, -m)
+            lhs = next(lhs_values)
+            rhs = evaluate_valuation(eigenspace_charpoly(X, (degree, -m)), -m)
             records.append(ImcRecord(m, side, lhs, rhs, inside, lhs == rhs))
     return ImcReport(X.p, degree_window(X), tuple(records))

@@ -45,12 +45,16 @@ def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
             "apply the torsion-free replacement first")
     total = ZERO
     for d, r in X.betti.items():
-        total = total + sphere_order(X.p, t - d) * r
+        e = sphere_order(X.p, t - d)
+        if e is not ZERO:  # most degrees are trivial, and ZERO adds nothing
+            total = total + e * r
     return total
 
 
-def k1_order_of_dual_replacement(X: FiniteSpectrumData, t: int) -> PadicValuation:
-    """Exponent of |pi_t| of the K(1)-local dual of the torsion-free
-    replacement of X.  This is the homotopy side of every main-conjecture
+def k1_order_of_dual_replacement(X: FiniteSpectrumData, degrees) -> list[PadicValuation]:
+    """Exponents of |pi_t| of the K(1)-local dual of the torsion-free
+    replacement of X, one per t in degrees.  The dual replacement is built
+    once for all of them.  This is the homotopy side of every main-conjecture
     comparison."""
-    return wedge_order(dual(strip_torsion(X)), t)
+    D = dual(strip_torsion(X))
+    return [wedge_order(D, t) for t in degrees]

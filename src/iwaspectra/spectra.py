@@ -11,15 +11,21 @@ identical outputs; no finer notion of equivalence is modeled.
 p-adically completed K-theory splits into 2(p-1) eigenspaces, keyed by the
 pair (degree, j) of a cohomological degree (0 or -1) and a weight j mod p-1.
 Each eigenspace of each spectrum here is an Iwasawa module with a
-linear-factor characteristic polynomial; eigenspace_charpoly assembles it
-from the betti map, with an even cell in degree 2i contributing exponent i
-and an odd cell in degree 2i-1 contributing exponent i (the
-suspension-consistent convention).
+linear-factor characteristic polynomial, assembled from the betti map: an
+even cell in degree 2i contributes exponent i, and an odd cell in degree
+2i-1 contributes exponent i (the suspension-consistent convention).  The
+map of nonzero eigenspace polynomials, FiniteSpectrumData.eigenspaces, is
+built once per spectrum, in one pass over its cells, the first time it is
+read; eigenspace_charpoly and total_lambda only read it.  betti and torsion
+are read-only mappings, so that map cannot go stale.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cache, cached_property
+from types import MappingProxyType
 
 from .iwalg import CharPoly
 from .padic import OddPrime
@@ -32,8 +38,8 @@ class PrimeMismatch(ValueError):
 @dataclass(frozen=True)
 class FiniteSpectrumData:
     p: int
-    betti: dict[int, int]
-    torsion: dict[int, str] = field(default_factory=dict)
+    betti: Mapping[int, int]
+    torsion: Mapping[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "p", OddPrime(self.p))
@@ -45,8 +51,21 @@ class FiniteSpectrumData:
         for d in self.torsion:
             if not isinstance(d, int) or isinstance(d, bool):
                 raise ValueError(f"torsion degree {d!r} is not an int")
-        object.__setattr__(self, "betti", dict(sorted(self.betti.items())))
-        object.__setattr__(self, "torsion", dict(sorted(self.torsion.items())))
+        object.__setattr__(self, "betti", MappingProxyType(dict(sorted(self.betti.items()))))
+        object.__setattr__(self, "torsion", MappingProxyType(dict(sorted(self.torsion.items()))))
+
+    @cached_property
+    def eigenspaces(self) -> Mapping[tuple[int, int], CharPoly]:
+        """The nonzero eigenspace polynomials, keyed (degree, j) with j in
+        [0, p-2]: degree 0 collects the even cells, degree -1 the odd cells,
+        and a cell in degree 2i or 2i-1 lands in weight i mod p-1 with factor
+        exponent i and multiplicity its rank.  Built in one pass over the
+        cells; not a field, so equality and repr ignore it."""
+        factors: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for d, r in self.betti.items():
+            i = (d + 1) // 2  # i both for d = 2i and for d = 2i - 1
+            factors.setdefault((0 if d % 2 == 0 else -1, i % (self.p - 1)), []).append((i, r))
+        return MappingProxyType({key: CharPoly(self.p, tuple(f)) for key, f in factors.items()})
 
 
 def eigenspace_keys(p) -> tuple[tuple[int, int], ...]:
@@ -94,31 +113,32 @@ def suspend(X: FiniteSpectrumData, k: int = 1) -> FiniteSpectrumData:
     )
 
 
-def eigenspace_charpoly(X: FiniteSpectrumData, key) -> CharPoly:
-    """Characteristic polynomial of the (degree, j) eigenspace of X.
+@cache
+def _one(p: int) -> CharPoly:
+    """The empty product, shared by every zero eigenspace at p."""
+    return CharPoly(p)
 
-    Degree 0 collects the even cells, degree -1 the odd cells; a cell in
-    degree 2i or 2i-1 lands in weight i mod p-1 with factor exponent i and
-    multiplicity its rank.  Any integer j is accepted and reduced mod p-1.
-    """
+
+def eigenspace_charpoly(X: FiniteSpectrumData, key) -> CharPoly:
+    """Characteristic polynomial of the (degree, j) eigenspace of X, read
+    from X.eigenspaces.  Any integer j is accepted and reduced mod p-1; a
+    zero eigenspace is the shared constant polynomial 1."""
     degree, j = key
     if degree not in (0, -1):
         raise ValueError(f"cohomological degree must be 0 or -1, got {degree!r}")
     if not isinstance(j, int) or isinstance(j, bool):
         raise ValueError(f"eigenspace weight must be an int, got {j!r}")
-    period = X.p - 1
-    parity = 0 if degree == 0 else 1
-    # (d + 1) // 2 is i both for d = 2i and for d = 2i - 1
-    return CharPoly(X.p, tuple(((d + 1) // 2, r) for d, r in X.betti.items()
-                               if d % 2 == parity and ((d + 1) // 2 - j) % period == 0))
+    f = X.eigenspaces.get((degree, j % (X.p - 1)))
+    return _one(X.p) if f is None else f
 
 
 def total_lambda(X: FiniteSpectrumData) -> int:
     """Alternating sum of eigenspace lambda invariants (degree 0 minus
-    degree -1).  Equals the Euler characteristic; computed the long way
-    through the eigenspace polynomials on purpose."""
-    return sum(eigenspace_charpoly(X, (degree, j)).degree * (1 if degree == 0 else -1)
-               for degree, j in eigenspace_keys(X.p))
+    degree -1), over the nonzero eigenspaces: O(cells).  Equals the Euler
+    characteristic; computed the long way through the eigenspace
+    polynomials on purpose."""
+    return sum(f.degree if degree == 0 else -f.degree
+               for (degree, _), f in X.eigenspaces.items())
 
 
 def degree_window(X: FiniteSpectrumData):

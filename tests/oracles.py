@@ -79,6 +79,25 @@ def evaluate_exact(f, x) -> Fraction:
     return acc
 
 
+def eigenspace_charpoly_scan(X, key) -> tuple[tuple[int, int], ...]:
+    """Factors (i, multiplicity) of the (degree, j) eigenspace polynomial of X,
+    sorted by i, by a scan of every cell for this one key: degree 0 takes
+    the even cells, degree -1 the odd ones, and a cell at 2i or 2i-1 lands
+    in weight i mod p-1 with multiplicity its rank."""
+    degree, j = key
+    parity = 0 if degree == 0 else 1
+    # (d + 1) // 2 is i both for d = 2i and for d = 2i - 1
+    return tuple(sorted(((d + 1) // 2, r) for d, r in X.betti.items()
+                        if d % 2 == parity and ((d + 1) // 2 - j) % (X.p - 1) == 0))
+
+
+def sn_closed_form(p: int, n: int) -> Fraction:
+    """The sphere's average over the window 1 .. 2(p-1)p^n: exactly (-1-n)/2,
+    for every odd prime p."""
+    assert n >= 0, f"rung must be >= 0, got {n}"
+    return Fraction(-1 - n, 2)
+
+
 def horner_eval(coeffs_constant_first, x) -> Fraction:
     """Polynomial evaluation from expanded coefficients; independent of the
     package's factor-wise routes."""

@@ -14,11 +14,11 @@ from iwaspectra.asymptotics import (
     graded_average,
     growth_ratio,
     ladder,
-    sn_closed_form,
 )
 from iwaspectra.imc import verify_weak_imc
+from iwaspectra.iwalg import coefficients_mod
 from iwaspectra.k1 import sphere_order
-from iwaspectra.padic import one_plus_p_pow_minus_one_valuation
+from iwaspectra.padic import DEFAULT_PRECISION, one_plus_p_pow_minus_one_valuation
 from iwaspectra.spectra import (
     FiniteSpectrumData,
     eigenspace_charpoly,
@@ -30,7 +30,7 @@ from iwaspectra.spectra import (
     wedge,
 )
 
-from oracles import int_valuation, random_spectrum, sphere_exponent_bruteforce
+from oracles import int_valuation, random_spectrum, sn_closed_form, sphere_exponent_bruteforce
 
 PRIMES = (3, 5, 7)
 
@@ -144,14 +144,26 @@ def test_05_lambda_equals_euler_characteristic():
     assert elapsed < 1
 
 def test_06_mu_vanishes_everywhere():
+    # the Weierstrass reading of the expanded coefficients: mu is the least
+    # valuation of a coefficient, lambda the index of the first unit one.
+    # mu = 0 and lambda = degree say that f is distinguished, with every
+    # root in pZ_p.  A residue 0 mod p^N counts as valuation N.
     start = time.perf_counter()
     spectra = corpus(seed=43, per_prime=100)
-    nonzero = [(X, key) for X in spectra for key in eigenspace_keys(X.p)
-               if eigenspace_charpoly(X, key).mu != 0]
+    bad = []
+    for X in spectra:
+        for key in eigenspace_keys(X.p):
+            f = eigenspace_charpoly(X, key)
+            vals = [int_valuation(X.p, c) if c else DEFAULT_PRECISION
+                    for c in coefficients_mod(f)]
+            mu = min(vals)
+            lam = vals.index(0) if mu == 0 else None
+            if mu != 0 or lam != f.degree:
+                bad.append((X, key, mu, lam, f.degree))
     elapsed = time.perf_counter() - start
-    report(6, f"mu = 0 for every eigenspace of {len(spectra)} corpus spectra",
-           not nonzero, elapsed)
-    assert not nonzero, nonzero[:5]
+    report(6, f"Weierstrass mu = 0 and lambda = degree for every eigenspace of "
+           f"{len(spectra)} corpus spectra", not bad, elapsed)
+    assert not bad, bad[:5]
 
 def test_07_closed_form_averages():
     start = time.perf_counter()

@@ -15,12 +15,16 @@ from iwaspectra.asymptotics import (
     graded_average,
     growth_ratio,
     ladder,
-    sn_closed_form,
 )
 from iwaspectra.k1 import TorsionPresent, sphere_order
 from iwaspectra.spectra import FiniteSpectrumData, suspend, total_lambda, wedge
 
-from oracles import first_infinite_in_window, random_spectrum, window_average_bruteforce
+from oracles import (
+    first_infinite_in_window,
+    random_spectrum,
+    sn_closed_form,
+    window_average_bruteforce,
+)
 
 S0_3 = FiniteSpectrumData(3, {0: 1})
 CP2 = {0: 1, 2: 1, 4: 1}
@@ -106,9 +110,10 @@ class TestGradedAverage:
 
 class TestSnClosedForm:
     def test_contract_examples(self):
-        assert sn_closed_form(3, 0) == Fraction(-1, 2)
-        assert sn_closed_form(3, 1) == Fraction(-1)
-        assert sn_closed_form(3, 3) == Fraction(-2)
+        # S^0 at p = 3 over the windows 1 .. 4 * 3^n
+        for n, s_n in ((0, Fraction(-1, 2)), (1, Fraction(-1)), (3, Fraction(-2))):
+            assert sn_closed_form(3, n) == s_n
+            assert graded_average(S0_3, 0, 4 * 3 ** n).value == s_n
 
     def test_high_rungs_exact(self):
         # rung n and the windows one and two degrees short of it, which drop
@@ -122,10 +127,6 @@ class TestSnClosedForm:
                 assert graded_average(S0, 0, N - 1).value == (N * s_n - 1) / (N - 1), (p, n)
                 assert (graded_average(S0, 0, N - 2).value
                         == (N * s_n - 1 + p ** (n + 1)) / (N - 2)), (p, n)
-
-    def test_rejects_negative_rung(self):
-        with pytest.raises(ValueError):
-            sn_closed_form(3, -1)
 
 
 class TestSkipAndLadder:

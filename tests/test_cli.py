@@ -315,6 +315,8 @@ class TestFailureModes:
     def test_sphere_table_bad_prime(self, capsys):
         code, _, err = run(capsys, "sphere-table", "-p", "4")
         assert code == 3
+        code, _, err = run(capsys, "sphere-table", "-p", "-7")
+        assert code == 3
         # at the bound of the deterministic primality test: refused, not guessed
         code, _, err = run(capsys, "sphere-table", "-p", "3317044064679887385961981")
         assert code == 3 and "3317044064679887385961981" in err
@@ -339,6 +341,22 @@ class TestFailureModes:
         _, err = capsys.readouterr()
         assert f"argument {flag}" in err and repr(value) in err
         assert " _" not in err and "invalid" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["growth", str(CORPUS / "s0_p3.json"), "--skip", "1_0"], "--skip"),
+        (["growth", str(CORPUS / "s0_p3.json"), "--skip", " \u0661\u0660 "], "--skip"),
+        (["sphere-table", "-p", "1_1"], "-p/--prime"),
+        (["invariants", str(CORPUS / "s0_p3.json"), "--prime-override", "\u0663"],
+         "--prime-override"),
+        (["imc", str(CORPUS / "s0_p3.json"), "--m-range=\u0661..\u0663"], "--m-range"),
+    ])
+    def test_integer_flags_are_ascii_decimal(self, capsys, argv, flag):
+        # the loader's rule for degree keys; int() would read each as a number
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert f"argument {flag}" in err
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ from iwaspectra.k1 import (
     wedge_order,
 )
 from iwaspectra.padic import INFINITE, ZERO, PadicValuation
-from iwaspectra.spectra import FiniteSpectrumData, wedge
+from iwaspectra.spectra import FiniteSpectrumData, dual, strip_torsion, wedge
 
 from oracles import random_spectrum, sphere_exponent_bruteforce
 
@@ -111,25 +111,39 @@ class TestWedgeOrder:
 
 class TestDualReplacementOrder:
     def test_contract_examples(self):
-        assert (k1_order_of_dual_replacement(FiniteSpectrumData(3, {0: 1}), 3)
-                == PadicValuation(1))
-        assert (k1_order_of_dual_replacement(FiniteSpectrumData(5, CP2), 9)
-                == ZERO)
-        assert (k1_order_of_dual_replacement(FiniteSpectrumData(3, {1: 1}), -1)
-                == INFINITE)
+        assert (k1_order_of_dual_replacement(FiniteSpectrumData(3, {0: 1}), [3])
+                == [PadicValuation(1)])
+        assert (k1_order_of_dual_replacement(FiniteSpectrumData(5, CP2), [9])
+                == [ZERO])
+        assert (k1_order_of_dual_replacement(FiniteSpectrumData(3, {1: 1}), [-1])
+                == [INFINITE])
+        assert (k1_order_of_dual_replacement(FiniteSpectrumData(3, {0: 1}), [3, 0, 2, 3])
+                == [PadicValuation(1), INFINITE, ZERO, PadicValuation(1)])
+        assert k1_order_of_dual_replacement(FiniteSpectrumData(3, {0: 1}), []) == []
 
     def test_torsion_markers_are_ignored(self, rng):
         for _ in range(50):
             p = rng.choice([3, 5, 7])
             X = random_spectrum(rng, p)
             bare = FiniteSpectrumData(p, dict(X.betti))
-            t = rng.randint(-30, 30)
-            assert k1_order_of_dual_replacement(X, t) == k1_order_of_dual_replacement(bare, t)
+            ts = [rng.randint(-30, 30) for _ in range(rng.randint(0, 8))]
+            assert k1_order_of_dual_replacement(X, ts) == k1_order_of_dual_replacement(bare, ts)
 
     def test_is_wedge_order_at_negated_cells(self, rng):
         for _ in range(50):
             p = rng.choice([3, 5, 7])
             X = random_spectrum(rng, p, torsion_prob=0)
             neg = FiniteSpectrumData(p, {-d: r for d, r in X.betti.items()})
-            t = rng.randint(-30, 30)
-            assert k1_order_of_dual_replacement(X, t) == wedge_order(neg, t)
+            ts = [rng.randint(-30, 30) for _ in range(rng.randint(0, 8))]
+            assert k1_order_of_dual_replacement(X, ts) == [wedge_order(neg, t) for t in ts]
+
+    @given(p=st.sampled_from([3, 5, 7, 11, 101]),
+           betti=st.dictionaries(st.integers(-30, 30), st.integers(1, 4), max_size=8),
+           torsion=st.dictionaries(st.integers(-30, 30), st.sampled_from(["a", "b"]),
+                                   max_size=3),
+           ts=st.lists(st.integers(-400, 400), max_size=12))
+    @settings(max_examples=200)
+    def test_batch_equals_one_replacement_per_degree(self, p, betti, torsion, ts):
+        X = FiniteSpectrumData(p, betti, torsion)
+        assert (k1_order_of_dual_replacement(X, ts)
+                == [wedge_order(dual(strip_torsion(X)), t) for t in ts])

@@ -19,7 +19,7 @@ from iwaspectra.spectra import (
     wedge,
 )
 
-from oracles import random_spectrum
+from oracles import eigenspace_charpoly_scan, random_spectrum
 
 CP2 = {0: 1, 2: 1, 4: 1}
 
@@ -55,6 +55,22 @@ class TestData:
         from iwaspectra.padic import NotAnOddPrime
         with pytest.raises(NotAnOddPrime):
             FiniteSpectrumData(4, {0: 1})
+
+    def test_maps_are_read_only_copies(self):
+        # the eigenspace map is cached on the spectrum, so its cells must
+        # not change after construction
+        betti, torsion = {0: 1, 2: 1}, {1: "a"}
+        X = FiniteSpectrumData(3, betti, torsion)
+        with pytest.raises(TypeError):
+            X.betti[4] = 1
+        with pytest.raises(TypeError):
+            X.torsion[1] = "b"
+        with pytest.raises(TypeError):
+            X.eigenspaces[(0, 0)] = CharPoly(3)
+        betti[4] = 1
+        torsion[3] = "b"
+        assert X == FiniteSpectrumData(3, {0: 1, 2: 1}, {1: "a"})
+        assert total_lambda(X) == 2
 
 
 class TestEulerCharacteristic:
@@ -186,6 +202,34 @@ class TestEigenspaces:
         Y = FiniteSpectrumData(5, {2: 1})
         assert eigenspace_charpoly(Y, (0, 1)) == CharPoly(5, ((1, 1),))
         assert eigenspace_charpoly(suspend(Y), (-1, 2)) == CharPoly(5, ((2, 1),))
+
+
+class TestEigenspaceMap:
+    @given(p=st.sampled_from([3, 5, 7, 11, 101]),
+           betti=st.dictionaries(st.integers(-40, 40), st.integers(1, 4), max_size=8),
+           torsion=st.dictionaries(st.integers(-40, 40), st.sampled_from(["a", "b"]),
+                                   max_size=3),
+           shifts=st.lists(st.integers(-5, 5), min_size=1, max_size=3))
+    @settings(max_examples=200)
+    def test_lookup_matches_cell_scan(self, p, betti, torsion, shifts):
+        X = FiniteSpectrumData(p, betti, torsion)
+        before = repr(X)
+        one = eigenspace_charpoly(FiniteSpectrumData(p, {}), (0, 0))
+        assert one == CharPoly(p)
+        long_sum = 0
+        for degree, j in eigenspace_keys(p):
+            want = eigenspace_charpoly_scan(X, (degree, j))
+            long_sum += sum(m for _, m in want) * (1 if degree == 0 else -1)
+            for k in shifts:
+                f = eigenspace_charpoly(X, (degree, j + k * (p - 1)))
+                assert f.factors == want, (degree, j, k)
+                if not want:
+                    assert f is one
+        assert all(f.factors for f in X.eigenspaces.values())
+        assert set(X.eigenspaces) <= set(eigenspace_keys(p))
+        assert total_lambda(X) == long_sum
+        assert X == FiniteSpectrumData(X.p, dict(X.betti), dict(X.torsion))
+        assert repr(X) == before
 
 
 class TestWedge:
