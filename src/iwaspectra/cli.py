@@ -47,6 +47,10 @@ SPECTRUM_FILE_KEYS = {"name", "p", "betti", "torsion"}
 # 100 rungs of a 20-cell spectrum take 0.3 s at p = 3, 0.6 s at p = 101
 MAX_LADDER = 100
 
+# --m-range and --t-range span at most this many steps (b - a); at the cap
+# imc prints 200,002 records (10 MB as a table), sphere-table 100,001 rows
+MAX_RANGE = 100000
+
 
 class SpectrumFileError(ValueError):
     pass
@@ -139,11 +143,13 @@ def val_json(v: PadicValuation):
 
 
 def render_table(headers, rows) -> str:
-    cols = range(len(headers))
-    widths = [max(len(headers[i]), max((len(r[i]) for r in rows), default=0)) for i in cols]
-    out = ["  ".join(headers[i].ljust(widths[i]) for i in cols).rstrip()]
-    for r in rows:
-        out.append("  ".join(r[i].ljust(widths[i]) for i in cols).rstrip())
+    """Columns left-justified to their widest cell, two spaces apart, with
+    trailing blanks cut from every line."""
+    widths = [max(len(h), max((len(r[i]) for r in rows), default=0))
+              for i, h in enumerate(headers)]
+    line = "  ".join(f"%-{w}s" for w in widths)
+    out = [(line % tuple(headers)).rstrip()]
+    out += [(line % tuple(r)).rstrip() for r in rows]
     return "\n".join(out) + "\n"
 
 
@@ -178,24 +184,23 @@ def emit(fmt, payload, records, headers, lead) -> None:
 
 def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
     window = degree_window(X)
-    # rendered once per distinct polynomial: most of the 2(p-1) rows are the
+    # the fields read off the polynomial are built once per distinct
+    # polynomial and shared by its rows: most of the 2(p-1) rows are the
     # constant 1 when p is large
-    rendered = {}
+    shared = {}
     eigenspaces = []
     for degree, j in eigenspace_keys(X.p):
         f = eigenspace_charpoly(X, (degree, j))
-        if f.factors not in rendered:
-            rendered[f.factors] = format_charpoly(f), coefficients_mod(f, precision)
-        charpoly, coeffs = rendered[f.factors]
-        eigenspaces.append({
-            "degree": degree,
-            "j": j,
-            "lambda": f.degree,
-            "mu": f.mu,
-            "factors": [[i, mult] for i, mult in f.factors],
-            "charpoly": charpoly,
-            "coefficients_mod": coeffs,
-        })
+        fields = shared.get(f.factors)
+        if fields is None:
+            fields = shared[f.factors] = {
+                "lambda": f.degree,
+                "mu": f.mu,
+                "factors": [[i, mult] for i, mult in f.factors],
+                "charpoly": format_charpoly(f),
+                "coefficients_mod": coefficients_mod(f, precision),
+            }
+        eigenspaces.append({"degree": degree, "j": j, **fields})
     return {
         "name": name,
         "p": int(X.p),
@@ -304,6 +309,8 @@ def _range_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected a..b with integers, got {text!r}")
     if a > b:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if b - a > MAX_RANGE:
+        raise argparse.ArgumentTypeError(f"range {text!r} spans more than {MAX_RANGE}")
     return a, b
 
 

@@ -16,7 +16,9 @@ m = (1-alpha)/2, where the even-cell polynomial compared on that side is
 blind to it, so that single m is excluded (2m > 1-alpha).  Records outside
 the window are still emitted, flagged in_window=false, and are allowed to
 mismatch.  A rationally trivial X has an empty window constraint: every m
-counts as in-window and both sides are trivial.
+counts as in-window and both sides are trivial.  verify_weak_imc computes
+the degree window once per report and tests each m against it by the same
+rule as in_strict_window.
 
 The sphere case is the one-cell spectrum X = S^{2i}: its window excludes
 only m = -i, where the odd side still compares INFINITE with INFINITE, so
@@ -62,8 +64,9 @@ class ImcReport:
         return not self.in_window_mismatches
 
 
-def in_strict_window(X: FiniteSpectrumData, m: int) -> bool:
-    window = degree_window(X)
+def _inside(window, m: int) -> bool:
+    """Whether m lies in the strict window of a spectrum whose degree window
+    is window, (alpha, beta) or None."""
     if window is None:
         return True
     alpha, beta = window
@@ -73,16 +76,22 @@ def in_strict_window(X: FiniteSpectrumData, m: int) -> bool:
     return 2 * m < -beta or 2 * m > upper
 
 
+def in_strict_window(X: FiniteSpectrumData, m: int) -> bool:
+    return _inside(degree_window(X), m)
+
+
 def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:
-    """Run the comparison for every m in m_range, both sides per m."""
+    """Run the comparison for every m in m_range, both sides per m.  The
+    degree window of X is computed once per report."""
     ms = list(m_range)
     sides = [t for m in ms for t in (2 * m - 1, 2 * m)]
     lhs_values = iter(k1_order_of_dual_replacement(X, sides))
+    window = degree_window(X)
     records = []
     for m in ms:
-        inside = in_strict_window(X, m)
+        inside = _inside(window, m)
         for side, degree in ((2 * m - 1, 0), (2 * m, -1)):
             lhs = next(lhs_values)
             rhs = evaluate_valuation(eigenspace_charpoly(X, (degree, -m)), -m)
             records.append(ImcRecord(m, side, lhs, rhs, inside, lhs == rhs))
-    return ImcReport(X.p, degree_window(X), tuple(records))
+    return ImcReport(X.p, window, tuple(records))

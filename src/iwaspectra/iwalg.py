@@ -70,15 +70,16 @@ def eval_point(p, s: int) -> Fraction:
 
 def evaluate_valuation(f: CharPoly, s: int) -> PadicValuation:
     """nu_p(f((1+p)^s - 1)), factor-wise: the factor at i vanishes when
-    s = i (INFINITE), otherwise contributes (1 + nu_p(s - i)) * multiplicity."""
+    s = i (INFINITE), otherwise contributes (1 + nu_p(s - i)) * multiplicity.
+    The exponents are summed as ints and wrapped once."""
     if not isinstance(s, int) or isinstance(s, bool):
         raise TypeError(f"evaluation point index must be an int, got {type(s).__name__}")
-    total = ZERO
+    total = 0
     for i, mult in f.factors:
         if s == i:
             return INFINITE
-        total = total + one_plus_p_pow_minus_one_valuation(f.p, s - i) * mult
-    return total
+        total += one_plus_p_pow_minus_one_valuation(f.p, s - i).value * mult
+    return PadicValuation(total) if total else ZERO
 
 
 def coefficients(f: CharPoly) -> tuple[Fraction, ...]:

@@ -9,6 +9,9 @@ Zp-hat summand.
 For a torsion-free wedge of cells the localized homotopy in each degree is
 the direct sum over cells, so orders multiply: exponents add, scaled by the
 rank of each cell.  One infinite summand makes the whole degree infinite.
+A cell d contributes to degree t only when t - d lies on the sphere's
+support (t - d = 0, or 2(p-1) divides t - d + 1), so wedge_order looks up
+no other cell.
 """
 
 from __future__ import annotations
@@ -38,17 +41,25 @@ def sphere_order(p, t: int) -> PadicValuation:
 
 def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
     """Exponent of |pi_t| of the K(1)-localization of torsion-free X: the sum
-    over cells d of rank * sphere_order(p, t - d)."""
+    over cells d of rank * sphere_order(p, t - d), taken over the cells with
+    t - d on the sphere's support only.  The exponents are summed as ints
+    and wrapped once; the first INFINITE cell decides the degree."""
     if X.torsion:
         raise TorsionPresent(
             f"torsion markers present at degrees {sorted(X.torsion)}; "
             "apply the torsion-free replacement first")
-    total = ZERO
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise TypeError(f"degree must be an int, got {type(t).__name__}")
+    period = 2 * (X.p - 1)
+    total = 0
     for d, r in X.betti.items():
+        if (t - d + 1) % period and d != t:
+            continue
         e = sphere_order(X.p, t - d)
-        if e is not ZERO:  # most degrees are trivial, and ZERO adds nothing
-            total = total + e * r
-    return total
+        if e is INFINITE:
+            return INFINITE
+        total += e.value * r
+    return PadicValuation(total) if total else ZERO
 
 
 def k1_order_of_dual_replacement(X: FiniteSpectrumData, degrees) -> list[PadicValuation]:

@@ -3,7 +3,10 @@
 Everything here recomputes its answer from first principles (repeated exact
 division, extended Euclid, exhaustive search, literal window sums) so the
 library's closed forms have something honest to disagree with.  Only the
-plain data container is imported from the package; no computation paths.
+plain data container is imported from the package; no computation paths,
+apart from sphere_order in wedge_order_scan: that oracle checks which cells
+wedge_order skips, and sphere_order is held to sphere_exponent_bruteforce on
+its own.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import math
 from fractions import Fraction
 
 from iwaspectra import FiniteSpectrumData
+from iwaspectra.k1 import sphere_order
+from iwaspectra.padic import ZERO
 
 
 def int_valuation(p: int, n: int) -> int:
@@ -67,6 +72,18 @@ def sphere_exponent_bruteforce(p: int, t: int):
             return k + 1
         k += 1
     return 0
+
+
+def wedge_order_scan(X, t: int):
+    """Exponent of |pi_t| of the K(1)-localization of torsion-free X, with
+    sphere_order looked up for every cell and the PadicValuation sum taken
+    cell by cell."""
+    total = ZERO
+    for d, r in X.betti.items():
+        e = sphere_order(X.p, t - d)
+        if e is not ZERO:
+            total = total + e * r
+    return total
 
 
 def evaluate_exact(f, x) -> Fraction:

@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iwaspectra.cli as cli
 from iwaspectra.imc import ImcRecord, ImcReport
@@ -256,6 +258,37 @@ class TestSphereTable:
         assert next(r for r in payload["rows"] if r["t"] == 39)["order"] == "25"
 
 
+def render_table_ljust(headers, rows) -> str:
+    """The table renderer as it was written first, cell by cell with ljust."""
+    cols = range(len(headers))
+    widths = [max(len(headers[i]), max((len(r[i]) for r in rows), default=0)) for i in cols]
+    out = ["  ".join(headers[i].ljust(widths[i]) for i in cols).rstrip()]
+    for r in rows:
+        out.append("  ".join(r[i].ljust(widths[i]) for i in cols).rstrip())
+    return "\n".join(out) + "\n"
+
+
+ascii_cells = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+class TestRenderTable:
+    @given(data=st.data(), headers=st.lists(st.text(st.characters(min_codepoint=32,
+                                                                  max_codepoint=126),
+                                                    max_size=6),
+                                            min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_ljust_renderer(self, data, headers):
+        # cells run from empty to twice the longest header, spaces and '%' included
+        rows = data.draw(st.lists(st.lists(ascii_cells, min_size=len(headers),
+                                           max_size=len(headers)), max_size=50))
+        assert cli.render_table(headers, rows) == render_table_ljust(headers, rows)
+
+    def test_contract_examples(self):
+        assert cli.render_table(["a", "bb"], []) == "a  bb\n"
+        assert cli.render_table(["a", "b"], [["xyz", ""], ["", "%s"]]) == (
+            "a    b\nxyz\n     %s\n")
+
+
 class TestFailureModes:
     def test_malformed_json_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -326,6 +359,28 @@ class TestFailureModes:
             cli.main(["imc", str(CORPUS / "s0_p3.json"), "--m-range", "5..1"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["imc", str(CORPUS / "s0_p3.json")], "--m-range"),
+        (["sphere-table", "-p", "3"], "--t-range"),
+    ])
+    def test_range_length_is_capped(self, capsys, monkeypatch, argv, flag):
+        assert cli.MAX_RANGE == 100000
+        args = cli.build_parser().parse_args(argv + [f"{flag}=0..100000"])
+        assert getattr(args, flag[2:].replace("-", "_")) == (0, 100000)
+
+        def never(*_):
+            raise AssertionError("a refused range reached the computation")
+
+        monkeypatch.setattr(cli, "verify_weak_imc", never)
+        monkeypatch.setattr(cli, "sphere_order", never)
+        for value in ("0..100001", "0..1000000000"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + [f"{flag}={value}"])
+            assert exc.value.code == 2
+            _, err = capsys.readouterr()
+            assert f"argument {flag}" in err and f"more than {cli.MAX_RANGE}" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("growth", "--ladder", "x"),

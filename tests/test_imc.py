@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from iwaspectra.imc import ImcRecord, in_strict_window, verify_weak_imc
 from iwaspectra.iwalg import CharPoly
 from iwaspectra.padic import INFINITE, PadicValuation
-from iwaspectra.spectra import FiniteSpectrumData, strip_torsion, suspend
+from iwaspectra.spectra import FiniteSpectrumData, degree_window, strip_torsion, suspend
 
 from oracles import evaluate_exact, random_spectrum, rational_valuation, sphere_exponent_bruteforce
 
@@ -61,6 +61,22 @@ class TestStrictWindow:
         assert not in_strict_window(X, 5)
         assert in_strict_window(X, 6)
         assert not in_strict_window(X, 4)  # interior, as before
+
+    @given(p=st.sampled_from([3, 5, 7, 11, 101]),
+           betti=st.dictionaries(st.integers(-30, 30), st.integers(1, 4), max_size=8),
+           torsion=st.dictionaries(st.integers(-30, 30), st.sampled_from(["a", "b"]),
+                                   max_size=3),
+           a=st.integers(-60, 60), length=st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_report_window_is_read_once(self, p, betti, torsion, a, length):
+        X = FiniteSpectrumData(p, betti, torsion)
+        ms = range(a, a + length)
+        report = verify_weak_imc(X, ms)
+        assert report.window == degree_window(X)
+        assert report.window == ((min(betti), max(betti)) if betti else None)
+        assert [r.m for r in report.records] == [m for m in ms for _ in range(2)]
+        for rec in report.records:
+            assert rec.in_window == in_strict_window(X, rec.m)
 
 
 class TestWeakImc:

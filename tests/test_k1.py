@@ -15,7 +15,7 @@ from iwaspectra.k1 import (
 from iwaspectra.padic import INFINITE, ZERO, PadicValuation
 from iwaspectra.spectra import FiniteSpectrumData, dual, strip_torsion, wedge
 
-from oracles import random_spectrum, sphere_exponent_bruteforce
+from oracles import random_spectrum, sphere_exponent_bruteforce, wedge_order_scan
 
 CP2 = {0: 1, 2: 1, 4: 1}
 
@@ -107,6 +107,33 @@ class TestWedgeOrder:
                 e = sphere_exponent_bruteforce(p, t - d)
                 expected = math.inf if math.inf in (e, expected) else expected + r * e
             assert wedge_order(X, t).value == expected
+
+    @given(data=st.data(), p=st.sampled_from([3, 5, 7, 11, 101]),
+           betti=st.dictionaries(st.integers(-40, 40), st.integers(1, 4), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_support_skip_equals_full_scan(self, data, p, betti):
+        # t is a plain degree, a cell's own degree (a Zp-hat), or a degree
+        # d + 2(p-1)k - 1 on the support of cell d's sphere
+        X = FiniteSpectrumData(p, betti)
+        degrees = st.integers(-300, 300)
+        if betti:
+            cells = st.sampled_from(sorted(betti))
+            degrees = degrees | cells | st.builds(
+                lambda d, k: d + 2 * (p - 1) * k - 1, cells, st.integers(-p ** 6, p ** 6))
+        t = data.draw(degrees)
+        expected = wedge_order_scan(X, t)
+        got = wedge_order(X, t)
+        assert got == expected
+        if expected == ZERO:
+            assert got is ZERO
+        if expected == INFINITE:
+            assert got is INFINITE
+
+    def test_rejects_non_integer_degree(self):
+        with pytest.raises(TypeError):
+            wedge_order(FiniteSpectrumData(3, {0: 1}), 1.5)
+        with pytest.raises(TypeError):
+            wedge_order(FiniteSpectrumData(3, {}), 1.5)
 
 
 class TestDualReplacementOrder:
