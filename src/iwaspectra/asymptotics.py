@@ -25,12 +25,24 @@ floor divisions until one k is left, whose exponent is read directly, so one
 window of length n costs O(cells * log_p n) big-integer steps.  Everything
 here is exact rational arithmetic, except the final growth ratio, which
 divides by a float logarithm.
+
+On a ladder window, of length N = 2(p-1)p^n, the sum has a closed form of
+its own.  The window holds p^n consecutive special indices k of each cell d,
+so every class nu_p(k) = v < n is full, and one k is left over: k_d, the
+only multiple of p^n among them.  With lambda = total_lambda(X) =
+sum_d (-1)^d r_d, the average A obeys
+
+    N * (A + lambda*(n+1)/2) = sum_d (-1)^(d+1) r_d (p^(1 + nu_p(k_d)) - p^(n+1))
+
+exactly.  For a skip m >= beta, k_d = p^n for every cell as soon as
+N >= m + 2 - alpha, and then A = -lambda*(n+1)/2: the finite form of the
+growth law.  tests/oracles.py holds the identity as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .k1 import TorsionPresent, sphere_order
@@ -53,11 +65,8 @@ class LambdaZero(ValueError):
     """total_lambda(X) = 0, so the growth ratio is undefined."""
 
 
-@dataclass(frozen=True)
-class GradedAverage:
-    skip: int    # m: the window is m+1 .. m+n
-    length: int  # n
-    value: Fraction
+# the exact average value over the window skip+1 .. skip+length
+GradedAverage = namedtuple("GradedAverage", ["skip", "length", "value"])
 
 
 def _excess_sum(p: int, lo: int, hi: int, excess: list[int]) -> int:

@@ -4,8 +4,9 @@ Subcommands: invariants, imc, growth, sphere-table.  Output is plain text,
 CSV or JSON (--format, default from the IWASPECTRA_FORMAT environment
 variable, else table) and is byte-identical across runs.  Exit codes: 0 on
 success, 1 when an in-window main-conjecture record mismatches (or a growth
-ratio is undefined), 2 on spectrum-file or argument parse errors, 3 on an
-invalid prime.
+ratio is undefined), 2 on spectrum-file or argument parse errors and on an
+invariants call that would print an integer of more than MAX_DIGITS digits,
+3 on an invalid prime.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -51,9 +53,19 @@ MAX_LADDER = 100
 # imc prints 200,002 records (10 MB as a table), sphere-table 100,001 rows
 MAX_RANGE = 100000
 
+# invariants prints no integer of more than this many digits, Python's
+# default limit for int-to-str conversion: a cell at degree 2i or 2i - 1
+# puts (1+p)^|i| into its charpoly, and --precision N makes residues below
+# p^N
+MAX_DIGITS = 4300
+
 
 class SpectrumFileError(ValueError):
     pass
+
+
+class OutputTooLarge(ValueError):
+    """invariants would form and print an integer of more than MAX_DIGITS digits."""
 
 
 DEGREE_KEY = re.compile(r"-?[0-9]+")
@@ -213,8 +225,31 @@ def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
     }
 
 
+def _digits_above_cap(base: int, exponent: int) -> bool:
+    """Whether base**exponent has more than MAX_DIGITS digits, decided
+    without forming it: it has floor(exponent * log10(base)) + 1 digits,
+    since no power of an odd prime or of one more than it is a power of 10.
+    The int-to-float comparison is exact for any size of exponent."""
+    return exponent >= MAX_DIGITS / math.log10(base)
+
+
+def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int) -> None:
+    """Refuse, before any power is formed, an invariants call whose output
+    would need an integer of more than MAX_DIGITS digits."""
+    if _digits_above_cap(X.p, precision):
+        raise OutputTooLarge(
+            f"--precision {precision}: {X.p}^{precision} has more than {MAX_DIGITS} digits")
+    for d in X.betti:
+        i = (d + 1) // 2  # the factor exponent of a cell at 2i or 2i - 1
+        if _digits_above_cap(X.p + 1, abs(i)):
+            raise OutputTooLarge(
+                f"{path}: cell degree {d} puts {X.p + 1}^{abs(i)} into a charpoly, "
+                f"more than {MAX_DIGITS} digits")
+
+
 def cmd_invariants(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
+    check_invariants_size(args.file, X, args.precision)
     payload = invariants_payload(name, X, args.precision)
     window = "empty" if payload["alpha"] is None else f"[{payload['alpha']}, {payload['beta']}]"
     lead = (f"name: {name or '-'}\np = {payload['p']}  chi = {payload['chi']}  "
@@ -386,7 +421,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
-    except SpectrumFileError as exc:
+    except (SpectrumFileError, OutputTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NotAnOddPrime as exc:

@@ -31,29 +31,23 @@ the point of the check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .iwalg import evaluate_valuation
 from .k1 import k1_order_of_dual_replacement
-from .padic import PadicValuation
 from .spectra import FiniteSpectrumData, degree_window, eigenspace_charpoly
 
-
-@dataclass(frozen=True)
-class ImcRecord:
-    m: int
-    side: int              # the homotopy degree compared: 2m-1 or 2m
-    lhs_valuation: PadicValuation
-    rhs_valuation: PadicValuation
-    in_window: bool
-    match: bool
+# side is the homotopy degree compared, 2m-1 or 2m; the valuations are
+# PadicValuations
+ImcRecord = namedtuple("ImcRecord", ["m", "side", "lhs_valuation", "rhs_valuation",
+                                     "in_window", "match"])
 
 
-@dataclass(frozen=True)
-class ImcReport:
-    p: int
-    window: tuple[int, int] | None   # (alpha, beta) of X, None if rationally trivial
-    records: tuple[ImcRecord, ...]
+class ImcReport(namedtuple("ImcReport", ["p", "window", "records"])):
+    """window is (alpha, beta) of X, None if rationally trivial; records is
+    a tuple of ImcRecords."""
+
+    __slots__ = ()
 
     @property
     def in_window_mismatches(self) -> tuple[ImcRecord, ...]:

@@ -17,33 +17,36 @@ formed on that path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import (
     DEFAULT_PRECISION,
     INFINITE,
     ZERO,
+    Immutable,
     OddPrime,
     PadicValuation,
     one_plus_p_pow_minus_one_valuation,
 )
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Immutable):
     """Monic polynomial prod (T - (1+p)^i + 1)^mult, stored by its factors.
 
     factors is kept sorted by i with multiplicities >= 1 and no repeats;
     construction normalizes whatever it is handed.
     """
 
-    p: int
-    factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("p", "factors")
 
     # every factor is monic and linear, so no power of p divides the
     # polynomial: the mu invariant is 0
     mu = 0
+
+    def __init__(self, p: int, factors: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "factors", factors)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "p", OddPrime(self.p))
@@ -53,6 +56,17 @@ class CharPoly:
                 raise ValueError(f"bad factor {(i, mult)!r}: need integer i and multiplicity >= 1")
             merged[i] = merged.get(i, 0) + mult
         object.__setattr__(self, "factors", tuple(sorted(merged.items())))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.factors))
+
+    def __repr__(self):
+        return f"CharPoly(p={self.p!r}, factors={self.factors!r})"
 
     @property
     def degree(self) -> int:

@@ -20,7 +20,6 @@ sentinel inside PadicValuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_PRECISION = 64  # p-adic digits of expanded coefficients
@@ -84,17 +83,45 @@ class OddPrime(int):
         return super().__new__(cls, p)
 
 
-@dataclass(frozen=True)
-class PadicValuation:
+class Immutable:
+    """Refuses assignment and deletion on instances.  A value type sets its
+    fields once, in __init__, through object.__setattr__, then validates
+    and normalizes them in __post_init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PadicValuation(Immutable):
     """A natural number or INFINITE.  Addition and scaling never leave the set."""
 
-    value: int | float  # nonnegative int, or math.inf
+    __slots__ = ("value",)  # nonnegative int, or math.inf
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self):
         ok = (isinstance(self.value, int) and not isinstance(self.value, bool)
               and self.value >= 0) or self.value == math.inf
         if not ok:
             raise ValueError(f"valuation must be a natural number or infinity, got {self.value!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"PadicValuation(value={self.value!r})"
 
     @property
     def is_finite(self) -> bool:

@@ -23,23 +23,28 @@ are read-only mappings, so that map cannot go stale.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from types import MappingProxyType
 
 from .iwalg import CharPoly
-from .padic import OddPrime
+from .padic import Immutable, OddPrime
 
 
 class PrimeMismatch(ValueError):
     """Spectra over different primes cannot be combined."""
 
 
-@dataclass(frozen=True)
-class FiniteSpectrumData:
-    p: int
-    betti: Mapping[int, int]
-    torsion: Mapping[int, str] = field(default_factory=dict)
+class FiniteSpectrumData(Immutable):
+    """Cell ranks (degree -> rank >= 1) and torsion markers (degree -> label)
+    at the odd prime p, both held sorted by degree in read-only mappings.
+    Instances keep a __dict__ for the cached eigenspace map."""
+
+    def __init__(self, p: int, betti: Mapping[int, int],
+                 torsion: Mapping[int, str] = MappingProxyType({})):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "torsion", torsion)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "p", OddPrime(self.p))
@@ -53,6 +58,17 @@ class FiniteSpectrumData:
                 raise ValueError(f"torsion degree {d!r} is not an int")
         object.__setattr__(self, "betti", MappingProxyType(dict(sorted(self.betti.items()))))
         object.__setattr__(self, "torsion", MappingProxyType(dict(sorted(self.torsion.items()))))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p == other.p and self.betti == other.betti
+                    and self.torsion == other.torsion)
+        return NotImplemented
+
+    __hash__ = None  # the mappings are unhashable
+
+    def __repr__(self):
+        return f"FiniteSpectrumData(p={self.p!r}, betti={self.betti!r}, torsion={self.torsion!r})"
 
     @cached_property
     def eigenspaces(self) -> Mapping[tuple[int, int], CharPoly]:

@@ -115,6 +115,29 @@ def sn_closed_form(p: int, n: int) -> Fraction:
     return Fraction(-1 - n, 2)
 
 
+def ladder_identity_average(p: int, betti: dict, skip: int, n: int) -> Fraction:
+    """The average A over the ladder window skip+1 .. skip+N, N = 2(p-1)p^n,
+    from the exact identity
+
+        N * (A + lambda*(n+1)/2) = sum_d (-1)^(d+1) r_d (p^(1 + nu_p(k_d)) - p^(n+1))
+
+    with lambda = sum_d (-1)^d r_d.  The window holds p^n consecutive
+    special indices k of each cell d (degrees j = d + 2(p-1)k - 1), and k_d
+    is the one multiple of p^n among them.  The window must avoid every
+    Zp-hat degree d - 1, d."""
+    block = 2 * (p - 1)
+    N = block * p ** n
+    lam = sum(r if d % 2 == 0 else -r for d, r in betti.items())
+    total = 0
+    for d, r in betti.items():
+        assert not skip + 1 <= d <= skip + N + 1, f"window touches the Zp-hat of cell {d}"
+        first = -((d - skip - 2) // block)  # least k with j >= skip + 1
+        k_d = first + (-first) % p ** n
+        sign = 1 if d % 2 else -1
+        total += sign * r * (p ** (1 + int_valuation(p, k_d)) - p ** (n + 1))
+    return Fraction(total, N) - Fraction(lam * (n + 1), 2)
+
+
 def horner_eval(coeffs_constant_first, x) -> Fraction:
     """Polynomial evaluation from expanded coefficients; independent of the
     package's factor-wise routes."""

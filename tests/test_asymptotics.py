@@ -21,6 +21,7 @@ from iwaspectra.spectra import FiniteSpectrumData, suspend, total_lambda, wedge
 
 from oracles import (
     first_infinite_in_window,
+    ladder_identity_average,
     random_spectrum,
     sn_closed_form,
     window_average_bruteforce,
@@ -106,6 +107,39 @@ class TestGradedAverage:
         X = FiniteSpectrumData(3, {-6: 1})
         got = graded_average(X, 0, 4)
         assert got.value == window_average_bruteforce(3, {-6: 1}, 0, 4)
+
+
+class TestLadderIdentity:
+    @given(p=st.sampled_from([3, 5, 7, 11, 13, 31, 97, 101]), n=st.integers(0, 100),
+           betti=st.dictionaries(st.integers(-40, 40), st.integers(1, 4), max_size=6),
+           shift=st.one_of(st.integers(0, 10 ** 7),
+                           # past a k = c * p^e of high valuation
+                           st.tuples(st.integers(1, 50), st.integers(0, 150),
+                                     st.integers(-200, 200))),
+           below=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_ladder_windows_obey_the_identity(self, p, n, betti, shift, below):
+        # rungs far past any literal window sum; below the cells k_d < 0
+        X = FiniteSpectrumData(p, betti)
+        block = 2 * (p - 1)
+        N = block * p ** n
+        if isinstance(shift, tuple):
+            c, e, offset = shift
+            shift = max(0, block * c * p ** e + offset)
+        if below:
+            skip = min(X.betti, default=0) - 2 - N - shift
+        else:
+            skip = default_skip(X) + shift
+        assert (graded_average(X, skip, N).value
+                == ladder_identity_average(p, X.betti, skip, n))
+
+    def test_default_skip_gives_the_growth_law(self):
+        # k_d = p^n for every cell, so A = -lambda (n+1)/2 exactly
+        X = FiniteSpectrumData(5, {0: 1, 2: 1, 4: 1})
+        for n in range(6):
+            N = 8 * 5 ** n
+            assert ladder_identity_average(5, X.betti, 4, n) == Fraction(-3 * (n + 1), 2)
+            assert graded_average(X, 4, N).value == Fraction(-3 * (n + 1), 2)
 
 
 class TestSnClosedForm:

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -382,6 +383,49 @@ class TestFailureModes:
             assert f"argument {flag}" in err and f"more than {cli.MAX_RANGE}" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_unprintable_cell_degree_is_exit_2(self, capsys, monkeypatch, tmp_path, fmt):
+        # a cell at 2i or 2i - 1 puts (1+p)^|i| into its charpoly; at p = 3,
+        # 4^7142 has 4300 digits and 4^7143 has 4301
+        for degree, digits in (("14000", 4215), ("14284", 4300), ("-14285", 4300)):
+            path = write_spectrum(tmp_path, {"p": 3, "betti": {degree: 1}})
+            code, out, err = run(capsys, "invariants", path, "--format", fmt)
+            assert code == 0 and err == "", degree
+            assert max(map(len, re.findall("[0-9]+", out))) == digits
+
+        def never(*_):
+            raise AssertionError("an oversized cell reached the computation")
+
+        monkeypatch.setattr(cli, "invariants_payload", never)
+        for degree in ("14285", "-14286", "16000", "200000000", "9" * 4000):
+            path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": 1, degree: 1}})
+            code, out, err = run(capsys, "invariants", path, "--format", fmt)
+            assert code == 2 and out == "", degree[:12]
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert f"cell degree {degree} " in err and "4300 digits" in err
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_unprintable_precision_is_exit_2(self, capsys, monkeypatch, fmt):
+        # residues mod 7^N: 7^5088 has 4300 digits, 7^5089 has 4301; the
+        # cell at -4 has a root with denominator 8^2, so its residues fill
+        # nearly all of them
+        spec = str(CORPUS / "s_minus4_p7.json")
+        code, out, err = run(capsys, "invariants", spec, "--precision", "5088", "--format", "json")
+        assert code == 0 and err == ""
+        residues = [c for row in json.loads(out)["eigenspaces"] for c in row["coefficients_mod"]]
+        assert 4290 < max(len(str(c)) for c in residues) <= 4300
+
+        def never(*_):
+            raise AssertionError("an oversized precision reached the computation")
+
+        monkeypatch.setattr(cli, "invariants_payload", never)
+        for argv in (["--precision", "5089"], ["--precision", "9" * 4000],
+                     ["--prime-override", "10007", "--precision", "1100"]):
+            code, out, err = run(capsys, "invariants", spec, *argv, "--format", fmt)
+            assert code == 2 and out == "", argv
+            assert err.startswith(f"error: --precision {argv[-1]}:") and err.count("\n") == 1
+            assert "4300 digits" in err
+
     @pytest.mark.parametrize("command, flag, value", [
         ("growth", "--ladder", "x"),
         ("invariants", "--precision", "y"),
@@ -418,6 +462,19 @@ class TestFailureModes:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestStartCost:
+    def test_import_skips_dataclasses_inspect_and_typing(self):
+        # -S keeps site-packages .pth files, which may import typing
+        # themselves, from hiding a module the package pulls in
+        code = ("import sys, iwaspectra.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestFormatSelection:
