@@ -137,14 +137,19 @@ def ladder(p, rungs: int) -> list[int]:
     return [2 * (p - 1) * p ** k for k in range(rungs + 1)]
 
 
-def growth_ratio(X: FiniteSpectrumData, skip: int, length: int) -> float:
-    """Observed average divided by the predicted -total_lambda/2 * log_p(length).
-    The one place floats enter; everything upstream is exact."""
-    lam = total_lambda(X)
+def growth_ratio(X: FiniteSpectrumData, skip: int, length: int, *,
+                 average: Fraction | None = None, lam: int | None = None) -> float:
+    """Observed average over the window skip+1 .. skip+length divided by the
+    predicted -total_lambda/2 * log_p(length).  A caller that already holds
+    the window's exact average (the value of its GradedAverage) or
+    total_lambda(X) passes it, and it is not computed again.  The one place
+    floats enter; everything upstream is exact."""
+    if lam is None:
+        lam = total_lambda(X)
     if lam == 0:
         raise LambdaZero("total lambda is 0; the growth ratio is undefined")
     if length < 2:
         raise ValueError("growth ratio needs a window of length >= 2")
-    avg = graded_average(X, skip, length)
-    predicted = -lam * math.log(length, X.p) / 2
-    return float(avg.value) / predicted
+    if average is None:
+        average = graded_average(X, skip, length).value
+    return float(average) / (-lam * math.log(length, X.p) / 2)

@@ -4,9 +4,10 @@ Subcommands: invariants, imc, growth, sphere-table.  Output is plain text,
 CSV or JSON (--format, default from the IWASPECTRA_FORMAT environment
 variable, else table) and is byte-identical across runs.  Exit codes: 0 on
 success, 1 when an in-window main-conjecture record mismatches (or a growth
-ratio is undefined), 2 on spectrum-file or argument parse errors and on an
-invariants call that would print an integer of more than MAX_DIGITS digits,
-3 on an invalid prime.
+ratio is undefined), 2 on spectrum-file or argument parse errors, on an
+invariants or growth call that would print an integer of more than
+MAX_DIGITS digits and on a growth ratio past the float range, 3 on an
+invalid prime.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ import re
 import sys
 
 from .asymptotics import LambdaZero, default_skip, graded_average, growth_ratio, ladder
-from .iwalg import coefficients_mod, format_charpoly
+from .iwalg import CharPoly, coefficients_mod, format_charpoly
 from .k1 import sphere_order
 from .padic import DEFAULT_PRECISION, NotAnOddPrime, OddPrime, PadicValuation
 from .spectra import (
     FiniteSpectrumData,
     degree_window,
-    eigenspace_charpoly,
     eigenspace_keys,
     euler_characteristic,
     strip_torsion,
@@ -177,42 +177,66 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def emit(fmt, payload, records, headers, lead) -> None:
-    """Write one result to stdout: payload as JSON, or one row per record
-    (its values under headers) as CSV or as a table under the lead line(s).
-    Booleans print as true/false, everything else as str."""
+def emit(fmt, payload, headers, rows, lead) -> None:
+    """Write one result to stdout: payload() as JSON, or rows(), tuples of
+    strings under headers, as CSV or as a table under the lead line(s).
+    Only the builder that the format prints is called."""
     if fmt == "json":
-        sys.stdout.write(render_json(payload))
-        return
-    rows = [[str(r[h]).lower() if isinstance(r[h], bool) else str(r[h]) for h in headers]
-            for r in records]
-    if fmt == "csv":
-        sys.stdout.write(render_csv(headers, rows))
+        sys.stdout.write(render_json(payload()))
+    elif fmt == "csv":
+        sys.stdout.write(render_csv(headers, rows()))
     else:
-        sys.stdout.write(lead + "\n" + render_table(headers, rows))
+        sys.stdout.write(lead + "\n" + render_table(headers, rows()))
+
+
+def str_rows(records, headers) -> list[tuple]:
+    """Table and CSV rows of dict records whose values print as str."""
+    return [tuple(str(r[h]) for h in headers) for r in records]
 
 
 # ------------------------------------------------------------- subcommands
 
-def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
-    window = degree_window(X)
-    # the fields read off the polynomial are built once per distinct
-    # polynomial and shared by its rows: most of the 2(p-1) rows are the
-    # constant 1 when p is large
+INVARIANTS_HEADERS = ("degree", "j", "lambda", "mu", "charpoly")
+
+
+def _shared_cells(X: FiniteSpectrumData, cells_of):
+    """(key, cells_of(f)) for every (degree, j) key and its polynomial f,
+    with cells_of called once per distinct polynomial and its result shared
+    by that polynomial's rows: most of the 2(p-1) rows are the constant 1
+    when p is large.  The keys are canonical, so f is read straight from
+    the eigenspace map."""
+    one = CharPoly(X.p)
     shared = {}
-    eigenspaces = []
-    for degree, j in eigenspace_keys(X.p):
-        f = eigenspace_charpoly(X, (degree, j))
-        fields = shared.get(f.factors)
-        if fields is None:
-            fields = shared[f.factors] = {
-                "lambda": f.degree,
-                "mu": f.mu,
-                "factors": [[i, mult] for i, mult in f.factors],
-                "charpoly": format_charpoly(f),
-                "coefficients_mod": coefficients_mod(f, precision),
-            }
-        eigenspaces.append({"degree": degree, "j": j, **fields})
+    for key in eigenspace_keys(X.p):
+        f = X.eigenspaces.get(key, one)
+        cells = shared.get(f.factors)
+        if cells is None:
+            cells = shared[f.factors] = cells_of(f)
+        yield key, cells
+
+
+def invariants_rows(X: FiniteSpectrumData) -> list[tuple]:
+    """One row of strings under INVARIANTS_HEADERS per eigenspace."""
+    return [(str(degree), str(j)) + cells for (degree, j), cells
+            in _shared_cells(X, lambda f: (str(f.degree), str(f.mu), format_charpoly(f)))]
+
+
+def invariants_payload(name, X: FiniteSpectrumData, precision: int, fmt: str) -> dict:
+    """The invariants result, with its rows under "eigenspaces": a dict per
+    eigenspace, with its factors and coefficients, for JSON, and
+    invariants_rows otherwise."""
+    window = degree_window(X)
+    if fmt == "json":
+        eigenspaces = [{"degree": degree, "j": j, **cells} for (degree, j), cells
+                       in _shared_cells(X, lambda f: {
+                           "lambda": f.degree,
+                           "mu": f.mu,
+                           "factors": [[i, mult] for i, mult in f.factors],
+                           "charpoly": format_charpoly(f),
+                           "coefficients_mod": coefficients_mod(f, precision),
+                       })]
+    else:
+        eigenspaces = invariants_rows(X)
     return {
         "name": name,
         "p": int(X.p),
@@ -236,6 +260,9 @@ def _digits_above_cap(base: int, exponent: int) -> bool:
 def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int) -> None:
     """Refuse, before any power is formed, an invariants call whose output
     would need an integer of more than MAX_DIGITS digits."""
+    cap = 10 ** MAX_DIGITS
+    if abs(total_lambda(X)) >= cap or any(f.degree >= cap for f in X.eigenspaces.values()):
+        raise OutputTooLarge(f"{path}: a lambda has more than {MAX_DIGITS} digits")
     if _digits_above_cap(X.p, precision):
         raise OutputTooLarge(
             f"--precision {precision}: {X.p}^{precision} has more than {MAX_DIGITS} digits")
@@ -250,13 +277,25 @@ def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int) -> N
 def cmd_invariants(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
     check_invariants_size(args.file, X, args.precision)
-    payload = invariants_payload(name, X, args.precision)
+    payload = invariants_payload(name, X, args.precision, args.format)
     window = "empty" if payload["alpha"] is None else f"[{payload['alpha']}, {payload['beta']}]"
     lead = (f"name: {name or '-'}\np = {payload['p']}  chi = {payload['chi']}  "
             f"total_lambda = {payload['total_lambda']}\ndegree window: {window}")
-    emit(args.format, payload, payload["eigenspaces"],
-         ["degree", "j", "lambda", "mu", "charpoly"], lead)
+    emit(args.format, lambda: payload, INVARIANTS_HEADERS, lambda: payload["eigenspaces"], lead)
     return EXIT_OK
+
+
+IMC_HEADERS = ("m", "side", "lhs_val", "rhs_val", "in_window", "match")
+
+# booleans print as true/false in table and CSV rows, as in JSON
+_FLAG = {False: "false", True: "true"}
+
+
+def imc_rows(report: ImcReport) -> list[tuple]:
+    """One row of strings under IMC_HEADERS per record.  A valuation prints
+    its value, and str(math.inf) is "inf"."""
+    return [(str(m), str(side), str(lhs.value), str(rhs.value), _FLAG[inside], _FLAG[match])
+            for m, side, lhs, rhs, inside, match in report.records]
 
 
 def imc_payload(name, report: ImcReport) -> dict:
@@ -282,12 +321,41 @@ def cmd_imc(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
     a, b = args.m_range
     report = verify_weak_imc(X, range(a, b + 1))
-    payload = imc_payload(name, report)
     lead = (f"p = {int(report.p)}  m in [{a}, {b}]  "
             f"in-window mismatches: {len(report.in_window_mismatches)}")
-    emit(args.format, payload, payload["records"],
-         ["m", "side", "lhs_val", "rhs_val", "in_window", "match"], lead)
+    emit(args.format, lambda: imc_payload(name, report), IMC_HEADERS,
+         lambda: imc_rows(report), lead)
     return EXIT_OK if report.ok else EXIT_FAILED
+
+
+def check_growth_size(path: str, X: FiniteSpectrumData, lam: int, skip: int,
+                      lengths, ratios: bool) -> None:
+    """Refuse, before any window is computed, a growth call whose output
+    could need an integer of more than MAX_DIGITS digits, or whose ratios
+    would need total_lambda past the float range.
+
+    The bound on an average comes from the ladder identity (see
+    asymptotics).  On a window of length N = 2(p-1)p^n above every cell,
+    A = -lam*(n+1)/2 + E/N, where E is a multiple of (p-1)p^(n+1), so 2A is
+    an integer; and |E| <= R*p*(skip+N+D+1)/(2(p-1)) for the rank sum R and
+    the largest cell degree size D.  The ratio divides by
+    lam*log_p(N)/2 < lam*(n+2)/2."""
+    cap = 10 ** MAX_DIGITS
+    if abs(lam) >= cap:
+        raise OutputTooLarge(f"{path}: total_lambda has more than {MAX_DIGITS} digits")
+    if skip >= cap:
+        raise OutputTooLarge(
+            f"--skip: the top cell degree plus the skip has more than {MAX_DIGITS} digits")
+    if ratios and abs(lam) * (len(lengths) + 1) >= 2 ** 1023:
+        raise OutputTooLarge(
+            f"{path}: total_lambda is too large for a float ratio; rerun with --average-only")
+    p, ranks = X.p, sum(X.betti.values())
+    reach = skip + max((abs(d) for d in X.betti), default=0) + 1
+    for n, N in enumerate(lengths):
+        # at least the numerator of A in lowest terms, whose denominator is 1 or 2
+        if abs(lam) * (n + 1) + ranks * p * (reach + N) // ((p - 1) * N) + 1 >= cap:
+            raise OutputTooLarge(
+                f"{path}: the average at rung {n} could have more than {MAX_DIGITS} digits")
 
 
 def cmd_growth(args) -> int:
@@ -299,17 +367,28 @@ def cmd_growth(args) -> int:
     if lam == 0 and not args.average_only:
         raise LambdaZero("total lambda is 0; rerun with --average-only for the bare averages")
     skip = default_skip(X) + args.skip
+    lengths = ladder(X.p, args.ladder)
+    check_growth_size(args.file, X, lam, skip, lengths, not args.average_only)
     records = []
-    for k, n in enumerate(ladder(X.p, args.ladder)):
-        avg = graded_average(X, skip, n)
-        record = {"k": k, "n": n, "skip": skip, "average": str(avg.value)}
+    for k, n in enumerate(lengths):
+        avg = graded_average(X, skip, n).value
+        record = {"k": k, "n": n, "skip": skip, "average": str(avg)}
         if not args.average_only:
-            record["ratio"] = f"{growth_ratio(X, skip, n):.6f}"
+            try:
+                ratio = growth_ratio(X, skip, n, average=avg, lam=lam)
+            except OverflowError:
+                # an average far from the growth law, from a window on a
+                # special degree of high valuation
+                raise OutputTooLarge(f"{args.file}: the average at rung {k} is too large "
+                                     "for a float ratio; rerun with --average-only")
+            record["ratio"] = f"{ratio:.6f}"
         records.append(record)
-    headers = ["k", "n", "average"] + ([] if args.average_only else ["ratio"])
-    payload = {"name": name, "p": int(X.p), "total_lambda": lam, "skip": skip, "rows": records}
+    headers = ("k", "n", "average") + (() if args.average_only else ("ratio",))
     lead = f"p = {int(X.p)}  total_lambda = {lam}  skip = {skip}"
-    emit(args.format, payload, records, headers, lead)
+    emit(args.format,
+         lambda: {"name": name, "p": int(X.p), "total_lambda": lam, "skip": skip,
+                  "rows": records},
+         headers, lambda: str_rows(records, headers), lead)
     return EXIT_OK
 
 
@@ -321,8 +400,9 @@ def cmd_sphere_table(args) -> int:
         e = sphere_order(p, t)
         order = str(p ** e.value) if e.is_finite else "inf"
         records.append({"t": t, "exponent": val_json(e), "order": order})
-    emit(args.format, {"p": int(p), "rows": records}, records, ["t", "exponent", "order"],
-         f"p = {int(p)}")
+    headers = ("t", "exponent", "order")
+    emit(args.format, lambda: {"p": int(p), "rows": records}, headers,
+         lambda: str_rows(records, headers), f"p = {int(p)}")
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ from .padic import (
     Immutable,
     OddPrime,
     PadicValuation,
-    one_plus_p_pow_minus_one_valuation,
+    _special_exponent,
 )
 
 
@@ -92,7 +92,7 @@ def evaluate_valuation(f: CharPoly, s: int) -> PadicValuation:
     for i, mult in f.factors:
         if s == i:
             return INFINITE
-        total += one_plus_p_pow_minus_one_valuation(f.p, s - i).value * mult
+        total += _special_exponent(f.p, s - i) * mult
     return PadicValuation(total) if total else ZERO
 
 
@@ -113,10 +113,19 @@ def coefficients(f: CharPoly) -> tuple[Fraction, ...]:
 
 
 def coefficients_mod(f: CharPoly, precision: int = DEFAULT_PRECISION) -> list[int]:
-    """Expanded coefficients as residues mod p**precision, constant first.
-    Well defined because every coefficient is p-integral."""
+    """Expanded coefficients as residues mod p**precision, constant first:
+    coefficients(f) reduced, which is well defined because every
+    coefficient is p-integral.  Expanded in ints mod p**precision, one
+    linear factor at a time; the root (1+p)^i - 1 is a residue for negative
+    i too, since 1+p is a unit."""
     mod = f.p ** precision
-    return [c.numerator * pow(c.denominator, -1, mod) % mod for c in coefficients(f)]
+    coeffs = [1]
+    for i, mult in f.factors:
+        root = pow(1 + f.p, i, mod) - 1
+        for _ in range(mult):
+            # times (T - root): the new k-th coefficient is c[k-1] - root * c[k]
+            coeffs = [(hi - root * lo) % mod for hi, lo in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 def format_charpoly(f: CharPoly) -> str:

@@ -16,7 +16,14 @@ no other cell.
 
 from __future__ import annotations
 
-from .padic import INFINITE, ZERO, OddPrime, PadicValuation, one_plus_p_pow_minus_one_valuation
+from .padic import (
+    INFINITE,
+    ZERO,
+    OddPrime,
+    PadicValuation,
+    _special_exponent,
+    one_plus_p_pow_minus_one_valuation,
+)
 from .spectra import FiniteSpectrumData, dual, strip_torsion
 
 
@@ -24,19 +31,29 @@ class TorsionPresent(ValueError):
     """wedge_order needs torsion-free data; strip or replace first."""
 
 
+def _special_index(p: int, t: int):
+    """The sphere table for a checked prime p and an int t: None in the
+    Zp-hat degrees, the nonzero m = (t+1)/(2(p-1)) when pi_t is cyclic of
+    exponent 1 + nu_p(m), which is nu_p((1+p)^m - 1), and 0 when pi_t is
+    trivial."""
+    if t in (-1, 0):
+        return None
+    if t % 2 != 0:
+        m, rem = divmod(t + 1, 2 * (p - 1))
+        if rem == 0:
+            return m
+    return 0
+
+
 def sphere_order(p, t: int) -> PadicValuation:
     """Exponent of |pi_t| of the K(1)-local sphere at p, per the table above."""
     p = OddPrime(p)
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError(f"degree must be an int, got {type(t).__name__}")
-    if t in (-1, 0):
+    m = _special_index(p, t)
+    if m is None:
         return INFINITE
-    if t % 2 != 0:
-        m, rem = divmod(t + 1, 2 * (p - 1))
-        if rem == 0 and m != 0:
-            # exponent 1 + nu_p(m), which is nu_p((1+p)^m - 1)
-            return one_plus_p_pow_minus_one_valuation(p, m)
-    return ZERO
+    return one_plus_p_pow_minus_one_valuation(p, m) if m else ZERO
 
 
 def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
@@ -50,15 +67,17 @@ def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
             "apply the torsion-free replacement first")
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError(f"degree must be an int, got {type(t).__name__}")
-    period = 2 * (X.p - 1)
+    p = X.p
+    period = 2 * (p - 1)
     total = 0
     for d, r in X.betti.items():
         if (t - d + 1) % period and d != t:
             continue
-        e = sphere_order(X.p, t - d)
-        if e is INFINITE:
+        m = _special_index(p, t - d)
+        if m is None:
             return INFINITE
-        total += e.value * r
+        # on the support m is never 0: t - d is 0, -1 or a special degree
+        total += _special_exponent(p, m) * r
     return PadicValuation(total) if total else ZERO
 
 

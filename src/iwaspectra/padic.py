@@ -199,4 +199,12 @@ def one_plus_p_pow_minus_one_valuation(p, n) -> PadicValuation:
         raise TypeError(f"exponent must be an int, got {type(n).__name__}")
     if n == 0:
         raise ZeroInput("(1+p)^0 - 1 = 0 has no finite valuation")
-    return PadicValuation(1 + _int_valuation(p, n))
+    return PadicValuation(_special_exponent(p, n))
+
+
+def _special_exponent(p: int, n: int) -> int:
+    """1 + nu_p(n), which is nu_p((1+p)^n - 1), as a plain int, for a
+    checked prime p and a nonzero int n.  The int kernel behind
+    one_plus_p_pow_minus_one_valuation, for callers that sum many of these
+    exponents and wrap the total once."""
+    return 1 + _int_valuation(p, n)

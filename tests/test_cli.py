@@ -10,14 +10,24 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iwaspectra.asymptotics as asymptotics
 import iwaspectra.cli as cli
-from iwaspectra.imc import ImcRecord, ImcReport
+from iwaspectra.imc import ImcRecord, ImcReport, verify_weak_imc
+from iwaspectra.iwalg import coefficients_mod, format_charpoly
 from iwaspectra.padic import INFINITE, PadicValuation
+from iwaspectra.spectra import (
+    degree_window,
+    eigenspace_charpoly,
+    eigenspace_keys,
+    euler_characteristic,
+    total_lambda,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -232,6 +242,73 @@ class TestGrowth:
         assert "argument --ladder" in err and f"at most {cli.MAX_LADDER}" in err
 
 
+    def test_each_window_is_summed_once(self, capsys, monkeypatch):
+        calls = {"graded_average": 0, "total_lambda": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, asymptotics):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(module, name))
+        code, out, _ = run(capsys, "growth", str(CORPUS / "s0_p3.json"), "--ladder", "4",
+                           "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 1 + 5
+        assert calls == {"graded_average": 5, "total_lambda": 1}
+
+    # a rank of 4299 nines, and two cells of 4300 nines, whose total_lambda
+    # has 4301 digits
+    BIG_RANK = int("9" * 4299)
+    OVERSIZED = [
+        ({"p": 3, "betti": {"0": BIG_RANK}}, ["--ladder", "100"],
+         "total_lambda is too large for a float ratio"),
+        ({"p": 3, "betti": {"0": BIG_RANK}}, ["--ladder", "100", "--average-only"],
+         "the average at rung 8 could have more than 4300 digits"),
+        ({"p": 3, "betti": {"0": 10 * BIG_RANK + 9, "2": 10 * BIG_RANK + 9}},
+         ["--ladder", "1", "--average-only"], "total_lambda has more than 4300 digits"),
+    ]
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("spec, argv, message", OVERSIZED)
+    def test_oversized_output_is_exit_2_before_any_window(self, capsys, monkeypatch, tmp_path,
+                                                         fmt, spec, argv, message):
+        def never(*_):
+            raise AssertionError("an oversized growth call reached a window")
+
+        monkeypatch.setattr(cli, "graded_average", never)
+        path = write_spectrum(tmp_path, spec)
+        code, out, err = run(capsys, "growth", path, *argv, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_average_next_to_the_cap_prints(self, capsys, tmp_path, fmt):
+        path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": self.BIG_RANK}})
+        code, out, err = run(capsys, "growth", path, "--ladder", "0", "--average-only",
+                             "--format", fmt)
+        assert code == 0 and err == ""
+        assert max(map(len, re.findall("[0-9]+", out))) == 4299
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_average_past_the_float_range_is_exit_2(self, capsys, tmp_path, fmt):
+        # total_lambda = 1, but the rung-0 window holds the special degree
+        # k = 3 of the cell at -8, so its average is -(3 * 10**400 + 1)/2
+        big = 10 ** 400
+        path = write_spectrum(tmp_path, {"p": 3, "betti": {"-8": big, "-5": big, "0": 1}})
+        code, out, err = run(capsys, "growth", path, "--ladder", "2", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: the average at rung 0 is too large for a float ratio; "
+                       "rerun with --average-only\n")
+        code, out, _ = run(capsys, "growth", path, "--ladder", "2", "--average-only",
+                           "--format", fmt)
+        assert code == 0 and f"-{3 * big + 1}/2" in out
+
+
 class TestSphereTable:
     def test_golden_table(self, capsys):
         code, out, _ = run(capsys, "sphere-table", "-p", "3", "--t-range=-2..4")
@@ -405,6 +482,31 @@ class TestFailureModes:
             assert f"cell degree {degree} " in err and "4300 digits" in err
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_unprintable_lambda_is_exit_2(self, capsys, monkeypatch, tmp_path, fmt):
+        # two ranks of 4300 nines: in one eigenspace (degrees 0 and 4 at
+        # p = 3) lambda has 4301 digits, in two (0 and 2) total_lambda has
+        big = int("9" * 4300)
+
+        def never(*_):
+            raise AssertionError("an unprintable lambda reached the computation")
+
+        monkeypatch.setattr(cli, "invariants_payload", never)
+        for betti in ({"0": big, "4": big}, {"0": big, "2": big}, {"-1": big, "1": big}):
+            path = write_spectrum(tmp_path, {"p": 3, "betti": betti})
+            code, out, err = run(capsys, "invariants", path, "--format", fmt)
+            assert code == 2 and out == "", sorted(betti)
+            assert err == f"error: {path}: a lambda has more than 4300 digits\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_lambda_at_the_cap_prints(self, capsys, tmp_path, fmt):
+        # lambda of 4300 digits in two eigenspaces, total_lambda 0
+        path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": int("9" * 4300),
+                                                           "1": int("9" * 4300)}})
+        code, out, err = run(capsys, "invariants", path, "--format", fmt)
+        assert code == 0 and err == ""
+        assert max(map(len, re.findall("[0-9]+", out))) == 4300
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_unprintable_precision_is_exit_2(self, capsys, monkeypatch, fmt):
         # residues mod 7^N: 7^5088 has 4300 digits, 7^5089 has 4301; the
         # cell at -4 has a root with denominator 8^2, so its residues fill
@@ -540,3 +642,195 @@ class TestBenchReferences:
         slots = len(calls) // workloads.POOL_VARIANTS
         assert slots == 17
         self.assert_recorded(calls[:slots])
+
+
+# ------------------------------------------------- the dict-then-emit route
+
+def emit_dicts(fmt, payload, records, headers, lead) -> str:
+    """The output route as it was written first: one dict per record, and
+    every cell through an isinstance test and str (booleans as true/false)."""
+    if fmt == "json":
+        return cli.render_json(payload)
+    rows = [[str(r[h]).lower() if isinstance(r[h], bool) else str(r[h]) for h in headers]
+            for r in records]
+    if fmt == "csv":
+        return cli.render_csv(headers, rows)
+    return lead + "\n" + cli.render_table(headers, rows)
+
+
+def invariants_by_dicts(path, fmt, precision=64) -> str:
+    name, X = cli.load_spectrum_file(path)
+    window = degree_window(X)
+    eigenspaces = []
+    for degree, j in eigenspace_keys(X.p):
+        f = eigenspace_charpoly(X, (degree, j))
+        eigenspaces.append({
+            "degree": degree, "j": j, "lambda": f.degree, "mu": f.mu,
+            "factors": [[i, mult] for i, mult in f.factors],
+            "charpoly": format_charpoly(f),
+            "coefficients_mod": coefficients_mod(f, precision),
+        })
+    payload = {
+        "name": name, "p": int(X.p), "chi": euler_characteristic(X),
+        "total_lambda": total_lambda(X),
+        "alpha": None if window is None else window[0],
+        "beta": None if window is None else window[1],
+        "precision": precision, "eigenspaces": eigenspaces,
+    }
+    shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
+    lead = (f"name: {name or '-'}\np = {payload['p']}  chi = {payload['chi']}  "
+            f"total_lambda = {payload['total_lambda']}\ndegree window: {shown}")
+    return emit_dicts(fmt, payload, eigenspaces, ["degree", "j", "lambda", "mu", "charpoly"],
+                      lead)
+
+
+def imc_by_dicts(path, a, b, fmt) -> str:
+    name, X = cli.load_spectrum_file(path)
+    report = verify_weak_imc(X, range(a, b + 1))
+    records = [{
+        "m": r.m, "side": r.side,
+        "lhs_val": cli.val_json(r.lhs_valuation), "rhs_val": cli.val_json(r.rhs_valuation),
+        "in_window": r.in_window, "match": r.match,
+    } for r in report.records]
+    payload = {
+        "name": name, "p": int(report.p),
+        "alpha": None if report.window is None else report.window[0],
+        "beta": None if report.window is None else report.window[1],
+        "records": records,
+        "in_window_mismatches": len(report.in_window_mismatches),
+        "ok": report.ok,
+    }
+    lead = (f"p = {int(report.p)}  m in [{a}, {b}]  "
+            f"in-window mismatches: {len(report.in_window_mismatches)}")
+    return emit_dicts(fmt, payload, records,
+                      ["m", "side", "lhs_val", "rhs_val", "in_window", "match"], lead)
+
+
+def stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+spectrum_files = st.fixed_dictionaries(
+    {"p": st.sampled_from([3, 5, 7, 101]),
+     "betti": st.dictionaries(st.integers(-12, 12).map(str), st.integers(1, 4), max_size=6)},
+    optional={"torsion": st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+              "name": st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)})
+
+
+class TestRowsMatchTheDictRoute:
+    """invariants and imc build their rows straight from the computed values;
+    their stdout must equal the dict-then-emit route's byte for byte."""
+
+    @given(spec=spectrum_files, a=st.integers(-40, 40), width=st.integers(0, 30))
+    @settings(max_examples=120, deadline=None)
+    def test_byte_equal_in_every_format(self, tmp_path_factory, spec, a, width):
+        path = str(tmp_path_factory.mktemp("spec") / "spec.json")
+        pathlib.Path(path).write_text(json.dumps(spec))
+        for fmt in cli.FORMATS:
+            assert stdout_of(["invariants", path, "--format", fmt]) == (
+                0, invariants_by_dicts(path, fmt))
+            code, out = stdout_of(["imc", path, f"--m-range={a}..{a + width}", "--format", fmt])
+            assert code == 0 and out == imc_by_dicts(path, a, a + width, fmt)
+
+    def test_precision_and_corpus(self):
+        for path in sorted(CORPUS.glob("*.json")):
+            assert stdout_of(["invariants", str(path), "--precision", "3", "--format", "json"]) \
+                == (0, invariants_by_dicts(str(path), "json", 3))
+            for fmt in cli.FORMATS:
+                assert stdout_of(["invariants", str(path), "--format", fmt])[1] \
+                    == invariants_by_dicts(str(path), fmt)
+
+
+# --------------------------------------------------------------- CLI fuzz
+
+PRIMES = st.sampled_from(["3", "5", "7", "11", "101", "2", "9", "1", "0", "-7", "15"])
+BAD_INTS = st.sampled_from(["", "x", "1_0", " 3", "\u0663", "3.0", "+3", "-", "99999999999999999999"])
+small_ints = st.integers(-60, 60).map(str)
+ranges = st.one_of(
+    st.tuples(st.integers(-60, 60), st.integers(0, 120)).map(lambda t: f"{t[0]}..{t[0] + t[1]}"),
+    st.sampled_from(["5..1", "a..b", "1..", "..", "0..100001", "1", "\u0661..\u0663"]))
+formats = st.sampled_from(list(cli.FORMATS) + ["yaml"])
+
+
+def flags(draw, *pairs):
+    """Each flag with a value drawn from its strategy (None for a switch),
+    or left out."""
+    argv = []
+    for flag, values in pairs:
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def spectrum_bytes(draw):
+    """A well-formed spectrum file two times in three, and otherwise one
+    with hostile values; either is sometimes replaced by broken text."""
+    if draw(st.integers(0, 2)) < 2:
+        spec = draw(spectrum_files)
+    else:
+        degree_keys = st.one_of(st.integers(-20, 20).map(str),
+                                st.sampled_from(["x", "1_0", " 2", "\u0663", "-0", "007"]))
+        ranks = st.one_of(st.integers(-1, 5), st.booleans(), st.just("1"), st.just(1.5))
+        spec = draw(st.fixed_dictionaries(
+            {"p": st.one_of(st.sampled_from([3, 5, 7, 11, 2, 9, -3]), st.just("3"),
+                            st.just(True)),
+             "betti": st.dictionaries(degree_keys, ranks, max_size=6)},
+            optional={"torsion": st.lists(st.one_of(st.integers(-20, 20), st.just("a")),
+                                          max_size=3),
+                      "name": st.one_of(st.text(max_size=5), st.integers(0, 9)),
+                      "extra": st.just(1)}))
+    text = json.dumps(spec)
+    if draw(st.integers(0, 3)) == 3:
+        text = draw(st.sampled_from([
+            text[:-1], "[]", "", "null", '{"p": 3, "betti": {"0": 1, "0": 2}}',
+            '{"p": 3, "betti": {"0": 1}, "p": 5}', "[" * 3000]))
+    return text.encode() + draw(st.sampled_from([b"", b"", b"\xff", b" "]))
+
+
+@st.composite
+def cli_argv(draw, path):
+    ints = st.one_of(small_ints, BAD_INTS)
+    command = draw(st.sampled_from(["invariants", "imc", "growth", "sphere-table"]))
+    if command == "sphere-table":
+        argv = [command, "-p", draw(PRIMES)] + flags(draw, ("--t-range", ranges))
+    else:
+        argv = [command, path]
+        argv += flags(draw, ("--prime-override", PRIMES))
+        if command == "invariants":
+            argv += flags(draw, ("--precision", st.one_of(st.integers(1, 200).map(str), ints)))
+        elif command == "imc":
+            argv += flags(draw, ("--m-range", ranges))
+        else:
+            ladder = st.one_of(st.integers(0, cli.MAX_LADDER).map(str), ints)
+            argv += flags(draw, ("--ladder", ladder), ("--skip", ints), ("--average-only", None))
+    return argv + flags(draw, ("--format", formats))
+
+
+class TestFuzz:
+    """Bounded fuzz over argv and spectrum files, inside the caps: small
+    primes and ranks, ranges and ladders no longer than MAX_RANGE and
+    MAX_LADDER.  Every run ends in a documented exit code, with no traceback,
+    and quickly."""
+
+    @given(data=st.data(), content=spectrum_bytes())
+    @settings(max_examples=250, deadline=None)
+    def test_exit_codes_and_no_traceback(self, tmp_path_factory, data, content):
+        path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+        path.write_bytes(content)
+        argv = data.draw(cli_argv(str(path)))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert time.perf_counter() - start < 10, argv
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert "error" in err.getvalue(), argv

@@ -93,6 +93,26 @@ class TestEvaluateValuation:
             exact = evaluate_exact(f, eval_point(p, s))
             assert got == PadicValuation(rational_valuation(p, exact))
 
+    @given(p=st.sampled_from([3, 5, 7, 101]),
+           fs=st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 12)), max_size=4),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_int_sums_match_exact_route_at_high_valuation(self, p, fs, data):
+        # s - i = u * p^k for one factor i reaches the higher valuation
+        # classes, and the multiplicities scale them; |s - i| stays within
+        # 3**5, since the exact route forms (1+p)^s
+        f = CharPoly(p, tuple(fs))
+        i = data.draw(st.sampled_from([i for i, _ in fs] or [0]))
+        k = data.draw(st.integers(0, 5).filter(lambda k: p ** k <= 3 ** 5))
+        u = data.draw(st.integers(-3 ** 5 // p ** k, 3 ** 5 // p ** k).filter(lambda u: u % p))
+        s = i + u * p ** k
+        got = evaluate_valuation(f, s)
+        if any(s == root for root, _ in f.factors):
+            assert got == INFINITE
+        else:
+            exact = evaluate_exact(f, eval_point(p, s))
+            assert got == PadicValuation(rational_valuation(p, exact))
+
     @given(p=odd_primes, fs=factor_lists, gs=factor_lists,
            s=st.integers(min_value=-40, max_value=40))
     @settings(max_examples=150)
@@ -138,6 +158,18 @@ class TestCoefficientsMod:
         for res, c in zip(coefficients_mod(f, precision=6), coefficients(f)):
             assert 0 <= res < mod
             assert (res * c.denominator - c.numerator) % mod == 0
+
+
+    @given(p=st.sampled_from([3, 5, 7, 11, 101]),
+           fs=st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 8)), max_size=4),
+           precision=st.integers(1, 40))
+    @settings(max_examples=150)
+    def test_equals_the_exact_expansion_reduced(self, p, fs, precision):
+        f = CharPoly(p, tuple(fs))
+        mod = p ** precision
+        expected = [c.numerator * euclid_inverse(c.denominator, mod) % mod
+                    for c in coefficients(f)]
+        assert coefficients_mod(f, precision) == expected
 
 
 class TestInvariants:
