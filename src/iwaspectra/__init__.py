@@ -1,11 +1,11 @@
 """Iwasawa invariants and K(1)-local homotopy orders of finite spectra at odd primes."""
 
 from .padic import (
-    DEFAULT_PRECISION, INFINITE, NegativeValuation, NotAnOddPrime, OddPrime, PadicValuation,
-    ZeroInput, is_odd_prime, one_plus_p_pow_minus_one_valuation, valuation,
+    DEFAULT_PRECISION, INFINITE, NotAnOddPrime, OddPrime, PadicValuation, ZeroInput,
+    is_odd_prime, one_plus_p_pow_minus_one_valuation,
 )
 from .iwalg import (
-    CharPoly, coefficients, coefficients_mod, eval_point, evaluate_valuation, format_charpoly,
+    CharPoly, coefficients_mod, eval_point, evaluate_valuation, format_charpoly,
 )
 from .spectra import (
     FiniteSpectrumData, PrimeMismatch, degree_window, dual, eigenspace_charpoly,

@@ -5,16 +5,14 @@ CSV or JSON (--format, default from the IWASPECTRA_FORMAT environment
 variable, else table) and is byte-identical across runs.  Exit codes: 0 on
 success, 1 when an in-window main-conjecture record mismatches (or a growth
 ratio is undefined), 2 on spectrum-file or argument parse errors, on an
-invariants or growth call that would print an integer of more than
-MAX_DIGITS digits and on a growth ratio past the float range, 3 on an
-invalid prime.
+invariants, imc or growth call that would print an integer of more than
+MAX_DIGITS digits, on a JSON invariants call past MAX_EXPANSION and on a
+growth ratio past the float range, 3 on an invalid prime.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -59,13 +57,21 @@ MAX_RANGE = 100000
 # p^N
 MAX_DIGITS = 4300
 
+# invariants --format json expands an eigenspace polynomial of degree lambda
+# in about lambda**2 / 2 products of residues below p^N (N = --precision),
+# each 7-18 ns * w**2 on a 2-vCPU VM, w = 3 + bit_length(p^N) // 64; the
+# sum of lambda**2 * w**2 over the eigenspaces stays at most this, which
+# took 0.7-3.6 s at the cap
+MAX_EXPANSION = 4 * 10 ** 8
+
 
 class SpectrumFileError(ValueError):
     pass
 
 
 class OutputTooLarge(ValueError):
-    """invariants would form and print an integer of more than MAX_DIGITS digits."""
+    """A call would form and print an integer of more than MAX_DIGITS digits,
+    or expand coefficients past MAX_EXPANSION."""
 
 
 DEGREE_KEY = re.compile(r"-?[0-9]+")
@@ -166,11 +172,10 @@ def render_table(headers, rows) -> str:
 
 
 def render_csv(headers, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """Cells joined by commas, unquoted: no cell the CLI prints (integers,
+    inf, true/false, charpolys, fractions, ratios) holds a comma, a quote
+    or a line break."""
+    return "".join(",".join(r) + "\n" for r in (headers, *rows))
 
 
 def render_json(payload) -> str:
@@ -257,9 +262,11 @@ def _digits_above_cap(base: int, exponent: int) -> bool:
     return exponent >= MAX_DIGITS / math.log10(base)
 
 
-def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int) -> None:
+def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int,
+                          expand: bool) -> None:
     """Refuse, before any power is formed, an invariants call whose output
-    would need an integer of more than MAX_DIGITS digits."""
+    would need an integer of more than MAX_DIGITS digits, and, when the
+    coefficients are to be expanded, one past MAX_EXPANSION."""
     cap = 10 ** MAX_DIGITS
     if abs(total_lambda(X)) >= cap or any(f.degree >= cap for f in X.eigenspaces.values()):
         raise OutputTooLarge(f"{path}: a lambda has more than {MAX_DIGITS} digits")
@@ -272,11 +279,17 @@ def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int) -> N
             raise OutputTooLarge(
                 f"{path}: cell degree {d} puts {X.p + 1}^{abs(i)} into a charpoly, "
                 f"more than {MAX_DIGITS} digits")
+    # p^precision has at most MAX_DIGITS digits here
+    width = 3 + (X.p ** precision).bit_length() // 64
+    if expand and sum(f.degree ** 2 for f in X.eigenspaces.values()) * width ** 2 > MAX_EXPANSION:
+        raise OutputTooLarge(
+            f"{path}: expanding the coefficients mod {X.p}^{precision} is past the work cap; "
+            "lower --precision or use another --format")
 
 
 def cmd_invariants(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
-    check_invariants_size(args.file, X, args.precision)
+    check_invariants_size(args.file, X, args.precision, args.format == "json")
     payload = invariants_payload(name, X, args.precision, args.format)
     window = "empty" if payload["alpha"] is None else f"[{payload['alpha']}, {payload['beta']}]"
     lead = (f"name: {name or '-'}\np = {payload['p']}  chi = {payload['chi']}  "
@@ -317,9 +330,26 @@ def imc_payload(name, report: ImcReport) -> dict:
     }
 
 
+def check_imc_size(path: str, X: FiniteSpectrumData, a: int, b: int) -> None:
+    """Refuse, before the comparison runs, an imc call that could print an
+    integer of more than MAX_DIGITS digits: a side 2m - 1 or 2m, or a
+    valuation.  With M the largest |m|, D the largest |cell degree| and R
+    the rank sum, each cell of rank r adds r * (1 + nu_p(k)) to a valuation,
+    for some 0 < |k| <= 2M + D + 2, so no valuation passes
+    R * (1 + bit_length(2M + D + 2))."""
+    cap = 10 ** MAX_DIGITS
+    M = max(abs(a), abs(b))
+    if 2 * M + 1 >= cap:
+        raise OutputTooLarge(f"--m-range: a side 2m - 1 or 2m has more than {MAX_DIGITS} digits")
+    D = max((abs(d) for d in X.betti), default=0)
+    if sum(X.betti.values()) * (1 + (2 * M + D + 2).bit_length()) >= cap:
+        raise OutputTooLarge(f"{path}: a valuation could have more than {MAX_DIGITS} digits")
+
+
 def cmd_imc(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
     a, b = args.m_range
+    check_imc_size(args.file, X, a, b)
     report = verify_weak_imc(X, range(a, b + 1))
     lead = (f"p = {int(report.p)}  m in [{a}, {b}]  "
             f"in-window mismatches: {len(report.in_window_mismatches)}")

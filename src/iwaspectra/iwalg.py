@@ -73,9 +73,6 @@ class CharPoly(Immutable):
         """The lambda invariant."""
         return sum(mult for _, mult in self.factors)
 
-    def __str__(self):
-        return format_charpoly(self)
-
 
 def eval_point(p, s: int) -> Fraction:
     """(1+p)^s - 1 as an exact rational; a p-adic integer for every s."""
@@ -96,26 +93,10 @@ def evaluate_valuation(f: CharPoly, s: int) -> PadicValuation:
     return PadicValuation(total) if total else ZERO
 
 
-def coefficients(f: CharPoly) -> tuple[Fraction, ...]:
-    """Expanded coefficients, constant term first, leading coefficient 1.
-    Exact rationals; they are p-integral but need not be integers when some
-    factor has i < 0."""
-    coeffs = [Fraction(1)]
-    for i, mult in f.factors:
-        root = eval_point(f.p, i)
-        for _ in range(mult):
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                nxt[k + 1] += c
-                nxt[k] -= c * root
-            coeffs = nxt
-    return tuple(coeffs)
-
-
 def coefficients_mod(f: CharPoly, precision: int = DEFAULT_PRECISION) -> list[int]:
     """Expanded coefficients as residues mod p**precision, constant first:
-    coefficients(f) reduced, which is well defined because every
-    coefficient is p-integral.  Expanded in ints mod p**precision, one
+    the exact rational coefficients reduced, which is well defined because
+    every coefficient is p-integral.  Expanded in ints mod p**precision, one
     linear factor at a time; the root (1+p)^i - 1 is a residue for negative
     i too, since 1+p is a unit."""
     mod = f.p ** precision

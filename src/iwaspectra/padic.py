@@ -1,14 +1,13 @@
-"""Exact p-adic valuation arithmetic at an odd prime.
+"""Exact p-adic valuation facts at an odd prime.
 
 Everything downstream (characteristic polynomials, homotopy group orders,
 graded averages) reduces to a handful of valuation facts collected here:
 
-* ``valuation(p, x)`` is the exponent of p in a nonzero rational x whose
-  denominator is prime to p.  Valuations are natural numbers together with
-  one extra element ``INFINITE``, which serves both as nu_p(0) and as the
-  order exponent of a pro-p summand such as Zp-hat.  INFINITE absorbs
-  addition and positive scaling.  The order p**e of a finite p-group is
-  carried as its exponent e, so orders multiply by adding valuations.
+* a valuation is a natural number or ``INFINITE``, which is the order
+  exponent of a pro-p summand such as Zp-hat.  The order p**e of a finite
+  p-group is carried as its exponent e, so orders multiply by adding
+  exponents: callers add and scale the plain ``.value`` numbers, where
+  Python's ``int`` and ``math.inf`` already let infinity absorb.
 * the special-value identity nu_p((1+p)^n - 1) = 1 + nu_p(n) for n != 0,
   which is symmetric in n <-> -n.  The closed form is the only route here;
   the tests check it against the big-integer expansion.
@@ -20,7 +19,6 @@ sentinel inside PadicValuation.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 DEFAULT_PRECISION = 64  # p-adic digits of expanded coefficients
 
@@ -38,10 +36,6 @@ class NotAnOddPrime(ValueError):
 
 class ZeroInput(ValueError):
     """0 has no finite valuation."""
-
-
-class NegativeValuation(ValueError):
-    """The denominator is divisible by p, so the value is not p-integral."""
 
 
 def is_odd_prime(n) -> bool:
@@ -98,7 +92,7 @@ class Immutable:
 
 
 class PadicValuation(Immutable):
-    """A natural number or INFINITE.  Addition and scaling never leave the set."""
+    """A natural number or INFINITE, validated once; arithmetic is on .value."""
 
     __slots__ = ("value",)  # nonnegative int, or math.inf
 
@@ -127,65 +121,10 @@ class PadicValuation(Immutable):
     def is_finite(self) -> bool:
         return self.value != math.inf
 
-    def __add__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = PadicValuation(other)
-        if not isinstance(other, PadicValuation):
-            return NotImplemented
-        if self.is_finite and other.is_finite:
-            return PadicValuation(self.value + other.value)
-        return INFINITE
-
-    __radd__ = __add__
-
-    def __mul__(self, k):
-        # k copies of a factor: multiplicity in a polynomial, rank of a cell
-        if not isinstance(k, int) or isinstance(k, bool):
-            return NotImplemented
-        if k < 1:
-            raise ValueError(f"scaling a valuation needs k >= 1, got {k}")
-        if not self.is_finite:
-            return INFINITE
-        return PadicValuation(self.value * k)
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        return "inf" if not self.is_finite else str(self.value)
-
 
 INFINITE = PadicValuation(math.inf)
 
 ZERO = PadicValuation(0)
-
-
-def _int_valuation(p: int, n: int) -> int:
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def valuation(p, x) -> PadicValuation:
-    """nu_p(x) for nonzero p-integral rational x (int or Fraction).
-
-    Raises ZeroInput on x == 0 and NegativeValuation when p divides the
-    denominator of x.
-    """
-    p = OddPrime(p)
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-    elif isinstance(x, int) and not isinstance(x, bool):
-        num, den = x, 1
-    else:
-        raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
-    if num == 0:
-        raise ZeroInput("nu_p(0) is infinite")
-    if den % p == 0:
-        raise NegativeValuation(f"{x} is not p-integral at p={p}")
-    return PadicValuation(_int_valuation(p, num))
 
 
 def one_plus_p_pow_minus_one_valuation(p, n) -> PadicValuation:
@@ -207,4 +146,8 @@ def _special_exponent(p: int, n: int) -> int:
     checked prime p and a nonzero int n.  The int kernel behind
     one_plus_p_pow_minus_one_valuation, for callers that sum many of these
     exponents and wrap the total once."""
-    return 1 + _int_valuation(p, n)
+    n, v = abs(n), 1
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v

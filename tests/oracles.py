@@ -3,7 +3,7 @@
 Everything here recomputes its answer from first principles (repeated exact
 division, extended Euclid, exhaustive search, literal window sums) so the
 library's closed forms have something honest to disagree with.  Only the
-plain data container is imported from the package; no computation paths,
+plain value types are imported from the package; no computation paths,
 apart from sphere_order in wedge_order_scan: that oracle checks which cells
 wedge_order skips, and sphere_order is held to sphere_exponent_bruteforce on
 its own.
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from iwaspectra import FiniteSpectrumData
 from iwaspectra.k1 import sphere_order
-from iwaspectra.padic import ZERO
+from iwaspectra.padic import PadicValuation
 
 
 def int_valuation(p: int, n: int) -> int:
@@ -76,14 +76,12 @@ def sphere_exponent_bruteforce(p: int, t: int):
 
 def wedge_order_scan(X, t: int):
     """Exponent of |pi_t| of the K(1)-localization of torsion-free X, with
-    sphere_order looked up for every cell and the PadicValuation sum taken
-    cell by cell."""
-    total = ZERO
+    sphere_order looked up for every cell and the exponents summed cell by
+    cell as plain numbers, where math.inf absorbs."""
+    total = 0
     for d, r in X.betti.items():
-        e = sphere_order(X.p, t - d)
-        if e is not ZERO:
-            total = total + e * r
-    return total
+        total += sphere_order(X.p, t - d).value * r
+    return PadicValuation(total)
 
 
 def evaluate_exact(f, x) -> Fraction:
@@ -94,6 +92,23 @@ def evaluate_exact(f, x) -> Fraction:
     for i, mult in f.factors:
         acc *= (Fraction(x) - (Fraction(1 + f.p) ** i - 1)) ** mult
     return acc
+
+
+def coefficients(f) -> tuple[Fraction, ...]:
+    """Expanded coefficients of a CharPoly f, constant term first, leading
+    coefficient 1, in exact rational arithmetic: one multiplication by
+    (T - root) per copy of each factor, with root = (1+p)^i - 1.  They are
+    p-integral but need not be integers when some factor has i < 0."""
+    coeffs = [Fraction(1)]
+    for i, mult in f.factors:
+        root = Fraction(1 + f.p) ** i - 1
+        for _ in range(mult):
+            nxt = [Fraction(0)] * (len(coeffs) + 1)
+            for k, c in enumerate(coeffs):
+                nxt[k + 1] += c
+                nxt[k] -= c * root
+            coeffs = nxt
+    return tuple(coeffs)
 
 
 def eigenspace_charpoly_scan(X, key) -> tuple[tuple[int, int], ...]:

@@ -30,7 +30,13 @@ from iwaspectra.spectra import (
     wedge,
 )
 
-from oracles import int_valuation, random_spectrum, sn_closed_form, sphere_exponent_bruteforce
+from oracles import (
+    int_valuation,
+    ladder_identity_average,
+    random_spectrum,
+    sn_closed_form,
+    sphere_exponent_bruteforce,
+)
 
 PRIMES = (3, 5, 7)
 
@@ -173,16 +179,32 @@ def test_07_closed_form_averages():
         S0 = FiniteSpectrumData(p, {0: 1})
         for n in range(top + 1):
             window = 2 * (p - 1) * p ** n
-            if graded_average(S0, 0, window).value != sn_closed_form(p, n):
+            average = graded_average(S0, 0, window).value
+            # the S^0 closed form, and the ladder identity it is a case of
+            if not average == sn_closed_form(p, n) == ladder_identity_average(p, S0.betti, 0, n):
                 bad.append((p, n))
-    # one tall rung in the millions of terms, same exact equality
+    # one tall rung in the millions of terms, same exact equalities
     tall = 12
-    window = 2 * 2 * 3 ** tall
-    if graded_average(FiniteSpectrumData(3, {0: 1}), 0, window).value != sn_closed_form(3, tall):
+    tall_window = 2 * 2 * 3 ** tall
+    average = graded_average(FiniteSpectrumData(3, {0: 1}), 0, tall_window).value
+    if not average == sn_closed_form(3, tall) == ladder_identity_average(3, {0: 1}, 0, tall):
         bad.append((3, tall))
+    # a multi-cell spectrum on every rung, at every skip over one period of
+    # 2(p-1)p^2 past its cells: the windows' special indices start on every
+    # residue mod p^2, so the leftover k_d takes each valuation class
+    windows = 0
+    for p, top in plan.items():
+        X = FiniteSpectrumData(p, {-3: 2, 0: 1, 2: 1, 5: 3})
+        for n in range(top + 1):
+            window = 2 * (p - 1) * p ** n
+            for skip in range(default_skip(X), default_skip(X) + 2 * (p - 1) * p ** 2):
+                windows += 1
+                if graded_average(X, skip, window).value != ladder_identity_average(
+                        p, X.betti, skip, n):
+                    bad.append((p, n, skip))
     elapsed = time.perf_counter() - start
-    report(7, f"closed-form averages, exact, up to a {window:,}-term window",
-           not bad, elapsed, 60)
+    report(7, f"closed-form averages = ladder identity, exact, up to a {tall_window:,}-term "
+           f"window, and on {windows} multi-cell ladder windows", not bad, elapsed, 60)
     assert not bad, bad
     assert elapsed < 60
 
@@ -190,7 +212,7 @@ def test_08_growth_law_and_envelopes():
     start = time.perf_counter()
     S0 = FiniteSpectrumData(3, {0: 1})
     spectra = [S0, suspend(S0, 2), FiniteSpectrumData(3, {0: 1, 2: 1, 4: 1})]
-    ratio_problems = []
+    ratio_problems, identity_failures = [], []
     for X in spectra:
         skip = default_skip(X)
         rungs = ladder(3, 8)
@@ -198,6 +220,12 @@ def test_08_growth_law_and_envelopes():
         last = abs(growth_ratio(X, skip, rungs[-1]) - 1)
         if last > 0.2 or last >= first:
             ratio_problems.append((X.betti, first, last))
+        # every rung average the ratios divide, against the ladder identity
+        for n, N in enumerate(rungs):
+            got = graded_average(X, skip, N).value
+            want = ladder_identity_average(3, X.betti, skip, n)
+            if got != want:
+                identity_failures.append(f"{sorted(X.betti)} n={n}: A = {got}, identity {want}")
 
     # S^0 one and two degrees short of rung n, N = 2(p-1)p^n: the shorter
     # windows drop the terms of degrees N (even, trivial homotopy) and N-1
@@ -246,13 +274,14 @@ def test_08_growth_law_and_envelopes():
                                      f"than {name}_0 = {seq[0]:.6f}")
 
     elapsed = time.perf_counter() - start
-    failures = exact_failures + bracket_failures + envelope_failures
+    failures = identity_failures + exact_failures + bracket_failures + envelope_failures
     ok = not ratio_problems and not failures
     detail = f"; first failure {failures[0]}" if failures else ""
-    report(8, "growth law ratios + exact off-rung averages, A(N-1) < s_n < A(N-2), "
-           "envelopes", ok, elapsed, 120, detail)
+    report(8, "growth law ratios + ladder identity + exact off-rung averages, "
+           "A(N-1) < s_n < A(N-2), envelopes", ok, elapsed, 120, detail)
     assert not ratio_problems, ratio_problems
     assert elapsed < 120
+    assert not identity_failures, "; ".join(identity_failures)
     assert not exact_failures, "; ".join(exact_failures)
     assert not bracket_failures, "; ".join(bracket_failures)
     assert not envelope_failures, "; ".join(envelope_failures)

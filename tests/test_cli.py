@@ -1,6 +1,7 @@
 """Command line behavior: golden outputs, formats, exit codes, determinism."""
 
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -22,6 +23,7 @@ from iwaspectra.imc import ImcRecord, ImcReport, verify_weak_imc
 from iwaspectra.iwalg import coefficients_mod, format_charpoly
 from iwaspectra.padic import INFINITE, PadicValuation
 from iwaspectra.spectra import (
+    FiniteSpectrumData,
     degree_window,
     eigenspace_charpoly,
     eigenspace_keys,
@@ -367,6 +369,38 @@ class TestRenderTable:
             "a    b\nxyz\n     %s\n")
 
 
+def render_csv_writer(headers, rows) -> str:
+    """The CSV renderer as it was written first, through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+# what CLI cells are made of: digits, signs, inf, true/false, charpolys such
+# as "(T - 15)^2 * (T + 3/4)", and %.6f ratios; never a comma, a quote or a
+# line break
+cli_cells = st.text(st.sampled_from("0123456789-+/.*^() Tinftruefals"), max_size=12)
+
+
+class TestRenderCsv:
+    @given(data=st.data(), width=st.integers(2, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_csv_writer(self, data, width):
+        # every CLI table has three or more columns; csv.writer would quote
+        # a row of one empty cell
+        headers = data.draw(st.lists(cli_cells, min_size=width, max_size=width))
+        rows = data.draw(st.lists(st.lists(cli_cells, min_size=width, max_size=width),
+                                  max_size=30))
+        assert cli.render_csv(headers, rows) == render_csv_writer(headers, rows)
+
+    def test_contract_examples(self):
+        assert cli.render_csv(("a", "b"), []) == "a,b\n"
+        assert cli.render_csv(("m", "lhs"), [("-1", "inf"), ("0", "")]) == (
+            "m,lhs\n-1,inf\n0,\n")
+
+
 class TestFailureModes:
     def test_malformed_json_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -507,6 +541,75 @@ class TestFailureModes:
         assert max(map(len, re.findall("[0-9]+", out))) == 4300
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_unprintable_imc_is_exit_2(self, capsys, monkeypatch, tmp_path, fmt):
+        # two ranks of 4300 nines bound the valuations past the cap, and at
+        # |m| of 4300 nines the side 2m - 1 has 4301 digits
+        big = "9" * 4300
+
+        def never(*_):
+            raise AssertionError("an unprintable imc call reached the comparison")
+
+        monkeypatch.setattr(cli, "verify_weak_imc", never)
+        path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": int(big), "4": int(big)}})
+        for argv, message in (
+                ([path, "--m-range=-5..5"], f"{path}: a valuation could have more than 4300 digits"),
+                ([str(CORPUS / "cp2_p3.json"), f"--m-range={big}..{big}"],
+                 "--m-range: a side 2m - 1 or 2m has more than 4300 digits"),
+                ([str(CORPUS / "cp2_p3.json"), f"--m-range=-{big}..-{big}"],
+                 "--m-range: a side 2m - 1 or 2m has more than 4300 digits")):
+            code, out, err = run(capsys, "imc", *argv, "--format", fmt)
+            assert code == 2 and out == "", argv[0]
+            assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_imc_next_to_the_cap_prints(self, capsys, tmp_path, fmt):
+        # m = 5 * 10**4299 - 1: the sides 2m - 1 and 2m have 4300 digits;
+        # a rank of 4299 digits keeps the valuation bound under the cap
+        m = 5 * 10 ** 4299 - 1
+        code, out, err = run(capsys, "imc", str(CORPUS / "cp2_p3.json"), f"--m-range={m}..{m}",
+                             "--format", fmt)
+        assert code == 0 and err == ""
+        assert str(2 * m) in out and str(2 * m - 1) in out
+        path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": 10 ** 4298}})
+        code, out, err = run(capsys, "imc", path, "--m-range=-5..5", "--format", fmt)
+        assert code == 0 and err == ""
+        assert str(10 ** 4298) in out
+
+    def test_json_expansion_is_capped_before_any_expansion(self, capsys, monkeypatch, tmp_path):
+        # one cell of rank 10^5 asks for 5 * 10^9 steps of expansion in JSON;
+        # the table prints no coefficient, so it is not capped
+        path = write_spectrum(tmp_path, {"p": 3, "betti": {"2": 100000}})
+        code, out, err = run(capsys, "invariants", path, "--format", "table")
+        assert code == 0 and err == ""
+
+        def never(*_):
+            raise AssertionError("an expansion past the cap was started")
+
+        monkeypatch.setattr(cli, "coefficients_mod", never)
+        code, out, err = run(capsys, "invariants", path, "--format", "json")
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: expanding the coefficients mod 3^64 is past the work "
+                       "cap; lower --precision or use another --format\n")
+
+    def test_expansion_cap_counts_degree_and_width(self):
+        # at p = 3 and --precision 1 a residue takes w = 3 words: lambda^2 * 9
+        # is the cost, so lambda = 6666 is the last degree under the cap
+        assert cli.MAX_EXPANSION == 4 * 10 ** 8
+        cli.check_invariants_size("x", FiniteSpectrumData(3, {0: 6666}), 1, expand=True)
+        X = FiniteSpectrumData(3, {0: 6667})
+        cli.check_invariants_size("x", X, 1, expand=False)
+        with pytest.raises(cli.OutputTooLarge, match="work cap"):
+            cli.check_invariants_size("x", X, 1, expand=True)
+        # split over two eigenspaces, the squares add: 2 * 4715^2 > cap / 9
+        X = FiniteSpectrumData(3, {0: 4715, 1: 4715})
+        with pytest.raises(cli.OutputTooLarge, match="work cap"):
+            cli.check_invariants_size("x", X, 1, expand=True)
+        # p^64 at p = 3 has 102 bits, so w = 4 and lambda = 5000 is the last
+        cli.check_invariants_size("x", FiniteSpectrumData(3, {0: 5000}), 64, expand=True)
+        with pytest.raises(cli.OutputTooLarge, match="work cap"):
+            cli.check_invariants_size("x", FiniteSpectrumData(3, {0: 5001}), 64, expand=True)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_unprintable_precision_is_exit_2(self, capsys, monkeypatch, fmt):
         # residues mod 7^N: 7^5088 has 4300 digits, 7^5089 has 4301; the
         # cell at -4 has a root with denominator 8^2, so its residues fill
@@ -571,7 +674,7 @@ class TestStartCost:
         # -S keeps site-packages .pth files, which may import typing
         # themselves, from hiding a module the package pulls in
         code = ("import sys, iwaspectra.cli; "
-                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+                "print(sorted({'csv', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                               timeout=60)

@@ -1,5 +1,6 @@
 """Characteristic polynomials in factor form: normalization, evaluation, invariants."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from iwaspectra.iwalg import (
     CharPoly,
-    coefficients,
     coefficients_mod,
     eval_point,
     evaluate_valuation,
@@ -16,7 +16,13 @@ from iwaspectra.iwalg import (
 )
 from iwaspectra.padic import INFINITE, PadicValuation
 
-from oracles import euclid_inverse, evaluate_exact, horner_eval, rational_valuation
+from oracles import (
+    coefficients,
+    euclid_inverse,
+    evaluate_exact,
+    horner_eval,
+    rational_valuation,
+)
 
 odd_primes = st.sampled_from([3, 5, 7, 11])
 
@@ -117,12 +123,17 @@ class TestEvaluateValuation:
            s=st.integers(min_value=-40, max_value=40))
     @settings(max_examples=150)
     def test_multiplicative_with_infinite_absorbing(self, p, fs, gs, s):
+        # valuations of a product add as plain numbers, math.inf absorbing
         f, g = CharPoly(p, tuple(fs)), CharPoly(p, tuple(gs))
-        assert (evaluate_valuation(CharPoly(p, f.factors + g.factors), s)
-                == evaluate_valuation(f, s) + evaluate_valuation(g, s))
+        product = evaluate_valuation(CharPoly(p, f.factors + g.factors), s).value
+        assert product == evaluate_valuation(f, s).value + evaluate_valuation(g, s).value
+        if any(s == i for i, _ in f.factors + g.factors):
+            assert product == math.inf
 
 
 class TestCoefficients:
+    """The exact expansion oracle that TestCoefficientsMod reduces."""
+
     def test_small_cases(self):
         assert coefficients(CharPoly(3)) == (Fraction(1),)
         assert coefficients(CharPoly(3, ((2, 1),))) == (Fraction(-15), Fraction(1))

@@ -1,5 +1,6 @@
 """Valuations, the (1+p)^n - 1 identity, primality, and residues mod p**N."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from iwaspectra.padic import (
     DEFAULT_PRECISION,
     INFINITE,
     PRIMALITY_BOUND,
-    NegativeValuation,
     NotAnOddPrime,
     OddPrime,
     PadicValuation,
@@ -19,7 +19,6 @@ from iwaspectra.padic import (
     ZeroInput,
     is_odd_prime,
     one_plus_p_pow_minus_one_valuation,
-    valuation,
 )
 
 from oracles import euclid_inverse, int_valuation, rational_valuation
@@ -31,18 +30,11 @@ PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 347474966038
                 341550071728321, 3825123056546413051, 318665857834031151167461)
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
 
-# denominators built from these stay units at every prime we sample
-unit_parts = st.integers(min_value=1, max_value=10 ** 6)
-
 
 def expansion_valuation(p, n):
     """nu_p((1+p)^n - 1) from the exact expansion: a big integer, or a
     Fraction when n < 0."""
     return rational_valuation(p, Fraction(1 + p) ** n - 1)
-
-
-def p_free(p):
-    return unit_parts.filter(lambda n: n % p != 0)
 
 
 class TestOddPrime:
@@ -89,19 +81,14 @@ class TestOddPrime:
 
 
 class TestValuationNumber:
-    def test_finite_arithmetic(self):
-        assert PadicValuation(2) + PadicValuation(3) == PadicValuation(5)
-        assert PadicValuation(2) + 3 == PadicValuation(5)
-        assert 3 * PadicValuation(2) == PadicValuation(6)
+    def test_value_and_finiteness(self):
         assert PadicValuation(4).value == 4
-        assert str(PadicValuation(4)) == "4"
-
-    def test_infinite_absorbs(self):
-        assert INFINITE + PadicValuation(7) == INFINITE
-        assert PadicValuation(7) + INFINITE == INFINITE
-        assert 5 * INFINITE == INFINITE
+        assert PadicValuation(4).is_finite
+        assert INFINITE.value == math.inf
         assert not INFINITE.is_finite
-        assert str(INFINITE) == "inf"
+        # callers sum and scale .value; a sum with an infinite term is
+        # math.inf, which the constructor takes back as INFINITE
+        assert PadicValuation(7 + 3 * INFINITE.value) == INFINITE
 
     def test_zero_constant(self):
         assert ZERO == PadicValuation(0)
@@ -112,44 +99,6 @@ class TestValuationNumber:
             PadicValuation(-1)
         with pytest.raises(ValueError):
             PadicValuation(1.5)
-        with pytest.raises(ValueError):
-            PadicValuation(3) * 0
-
-
-class TestValuation:
-    def test_contract_examples(self):
-        assert valuation(5, 7775) == PadicValuation(2)
-        assert valuation(3, 1) == ZERO
-        assert valuation(3, 18) == PadicValuation(2)
-
-    def test_zero_and_denominator_rejections(self):
-        with pytest.raises(ZeroInput):
-            valuation(5, 0)
-        with pytest.raises(ZeroInput):
-            valuation(5, Fraction(0))
-        with pytest.raises(NegativeValuation):
-            valuation(3, Fraction(2, 3))
-        with pytest.raises(TypeError):
-            valuation(3, 1.5)
-
-    def test_rationals_with_unit_denominator(self):
-        assert valuation(3, Fraction(18, 5)) == PadicValuation(2)
-        assert valuation(5, Fraction(-50, 9)) == PadicValuation(2)
-        assert valuation(7, Fraction(3, 4)) == ZERO
-
-    @given(p=odd_primes, n=st.integers(min_value=1, max_value=10 ** 9),
-           d=unit_parts)
-    def test_matches_division_oracle(self, p, n, d):
-        if d % p:
-            x = Fraction(n, d)
-            assert valuation(p, x) == PadicValuation(rational_valuation(p, x))
-        assert valuation(p, n) == PadicValuation(int_valuation(p, n))
-
-    @given(p=odd_primes,
-           a=st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool),
-           b=st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool))
-    def test_multiplicative(self, p, a, b):
-        assert valuation(p, a * b) == valuation(p, a) + valuation(p, b)
 
 
 class TestOnePlusPPowMinusOne:
@@ -161,7 +110,7 @@ class TestOnePlusPPowMinusOne:
             one_plus_p_pow_minus_one_valuation(3, 0)
 
     def test_expansion_oracle_agrees_on_example_inputs(self):
-        # 6^5 - 1 = 7775, the worked valuation example above
+        # 6^5 - 1 = 7775 = 5^2 * 311
         assert Fraction(6) ** 5 - 1 == 7775
         for p, n in [(5, 5), (3, 2), (3, -9), (5, -1), (7, 14)]:
             assert (one_plus_p_pow_minus_one_valuation(p, n)
