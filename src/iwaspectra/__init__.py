@@ -5,7 +5,7 @@ from .padic import (
     is_odd_prime, one_plus_p_pow_minus_one_valuation,
 )
 from .iwalg import (
-    CharPoly, coefficients_mod, eval_point, evaluate_valuation, format_charpoly,
+    CharPoly, coefficients_mod, evaluate_valuation, format_charpoly,
 )
 from .spectra import (
     FiniteSpectrumData, PrimeMismatch, degree_window, dual, eigenspace_charpoly,
@@ -16,6 +16,6 @@ from .asymptotics import (
     GradedAverage, InfiniteOrderInWindow, LambdaZero, default_skip, graded_average,
     growth_ratio, ladder,
 )
-from .imc import ImcRecord, ImcReport, in_strict_window, verify_weak_imc
+from .imc import ImcRecord, ImcReport, verify_weak_imc
 
 __version__ = "0.1.0"

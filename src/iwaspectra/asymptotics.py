@@ -45,9 +45,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .k1 import TorsionPresent, sphere_order
+from .k1 import _refuse_torsion, sphere_order
 from .padic import OddPrime
-from .spectra import FiniteSpectrumData, degree_window, total_lambda
+from .spectra import FiniteSpectrumData, degree_window
 
 
 class InfiniteOrderInWindow(ValueError):
@@ -93,10 +93,7 @@ def _excess_sum(p: int, lo: int, hi: int, excess: list[int]) -> int:
 def graded_average(X: FiniteSpectrumData, skip: int, length: int) -> GradedAverage:
     """Exact alternating average over the window skip+1 .. skip+length, in
     closed form: O(cells * log_p(length)) big-integer steps."""
-    if X.torsion:
-        raise TorsionPresent(
-            f"torsion markers present at degrees {sorted(X.torsion)}; "
-            "apply the torsion-free replacement first")
+    _refuse_torsion(X)
     if not isinstance(length, int) or length < 1:
         raise ValueError(f"window length must be an int >= 1, got {length!r}")
     if not isinstance(skip, int) or isinstance(skip, bool):
@@ -137,19 +134,13 @@ def ladder(p, rungs: int) -> list[int]:
     return [2 * (p - 1) * p ** k for k in range(rungs + 1)]
 
 
-def growth_ratio(X: FiniteSpectrumData, skip: int, length: int, *,
-                 average: Fraction | None = None, lam: int | None = None) -> float:
-    """Observed average over the window skip+1 .. skip+length divided by the
-    predicted -total_lambda/2 * log_p(length).  A caller that already holds
-    the window's exact average (the value of its GradedAverage) or
-    total_lambda(X) passes it, and it is not computed again.  The one place
-    floats enter; everything upstream is exact."""
-    if lam is None:
-        lam = total_lambda(X)
+def growth_ratio(average: GradedAverage, lam: int, p) -> float:
+    """Observed value of average, the GradedAverage of a window of some
+    spectrum X, divided by the predicted -lam/2 * log_p(length), where lam
+    is total_lambda(X).  The one place floats enter; everything upstream is
+    exact."""
     if lam == 0:
         raise LambdaZero("total lambda is 0; the growth ratio is undefined")
-    if length < 2:
+    if average.length < 2:
         raise ValueError("growth ratio needs a window of length >= 2")
-    if average is None:
-        average = graded_average(X, skip, length).value
-    return float(average) / (-lam * math.log(length, X.p) / 2)
+    return float(average.value) / (-lam * math.log(average.length, p) / 2)

@@ -4,10 +4,12 @@ Subcommands: invariants, imc, growth, sphere-table.  Output is plain text,
 CSV or JSON (--format, default from the IWASPECTRA_FORMAT environment
 variable, else table) and is byte-identical across runs.  Exit codes: 0 on
 success, 1 when an in-window main-conjecture record mismatches (or a growth
-ratio is undefined), 2 on spectrum-file or argument parse errors, on an
-invariants, imc or growth call that would print an integer of more than
-MAX_DIGITS digits, on a JSON invariants call past MAX_EXPANSION and on a
-growth ratio past the float range, 3 on an invalid prime.
+ratio is undefined), 2 on spectrum-file or argument parse errors (among
+them an integer of more than MAX_DIGITS digits), on an invariants, imc or
+growth call that would print an integer of more than MAX_DIGITS digits, on
+an invariants call past 2(MAX_RANGE + 1) rows, on a JSON invariants call
+past MAX_EXPANSION and on a growth ratio past the float range, 3 on an
+invalid prime.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ SPECTRUM_FILE_KEYS = {"name", "p", "betti", "torsion"}
 MAX_LADDER = 100
 
 # --m-range and --t-range span at most this many steps (b - a); at the cap
-# imc prints 200,002 records (10 MB as a table), sphere-table 100,001 rows
+# imc prints 200,002 records (10 MB as a table), sphere-table 100,001 rows;
+# invariants prints 2(p-1) rows, no more than that imc call: p <= 99991
 MAX_RANGE = 100000
 
 # invariants prints no integer of more than this many digits, Python's
@@ -75,6 +78,15 @@ class OutputTooLarge(ValueError):
 
 
 DEGREE_KEY = re.compile(r"-?[0-9]+")
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) under one rule for degree keys and integer flags: ASCII
+    decimal only (DEGREE_KEY), so no '_', padding or other scripts' digits,
+    and at most MAX_DIGITS digits; a ValueError otherwise."""
+    if not DEGREE_KEY.fullmatch(text):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
 
 
 def _unique_keys(pairs):
@@ -129,9 +141,11 @@ def load_spectrum_file(path: str, prime_override=None):
         raise SpectrumFileError(f"{path}: 'betti' must be an object of degree -> rank")
     betti = {}
     for key, rank in raw_betti.items():
-        if not DEGREE_KEY.fullmatch(key):
-            raise SpectrumFileError(f"{path}: betti degree {key!r} is not an integer")
-        degree = int(key)
+        try:
+            degree = _ascii_int(key)
+        except ValueError:
+            raise SpectrumFileError(
+                f"{path}: betti degree {key!r} is not an integer of at most {MAX_DIGITS} digits")
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise SpectrumFileError(
                 f"{path}: betti rank at degree {degree} must be an integer >= 1, got {rank!r}")
@@ -264,9 +278,14 @@ def _digits_above_cap(base: int, exponent: int) -> bool:
 
 def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int,
                           expand: bool) -> None:
-    """Refuse, before any power is formed, an invariants call whose output
+    """Refuse, before any row is built, an invariants call whose 2(p-1)
+    rows outnumber the records of an imc call at MAX_RANGE, or whose output
     would need an integer of more than MAX_DIGITS digits, and, when the
     coefficients are to be expanded, one past MAX_EXPANSION."""
+    if X.p - 1 > MAX_RANGE + 1:
+        raise OutputTooLarge(
+            f"p = {X.p}: invariants would print 2(p-1) = {2 * (X.p - 1)} rows, "
+            f"more than {2 * (MAX_RANGE + 1)}")
     cap = 10 ** MAX_DIGITS
     if abs(total_lambda(X)) >= cap or any(f.degree >= cap for f in X.eigenspaces.values()):
         raise OutputTooLarge(f"{path}: a lambda has more than {MAX_DIGITS} digits")
@@ -401,11 +420,11 @@ def cmd_growth(args) -> int:
     check_growth_size(args.file, X, lam, skip, lengths, not args.average_only)
     records = []
     for k, n in enumerate(lengths):
-        avg = graded_average(X, skip, n).value
-        record = {"k": k, "n": n, "skip": skip, "average": str(avg)}
+        average = graded_average(X, skip, n)
+        record = {"k": k, "n": n, "skip": skip, "average": str(average.value)}
         if not args.average_only:
             try:
-                ratio = growth_ratio(X, skip, n, average=avg, lam=lam)
+                ratio = growth_ratio(average, lam, X.p)
             except OverflowError:
                 # an average far from the growth law, from a window on a
                 # special degree of high valuation
@@ -437,14 +456,6 @@ def cmd_sphere_table(args) -> int:
 
 
 # ------------------------------------------------------------------ parser
-
-def _ascii_int(text: str) -> int:
-    """int(text) under the loader's rule for degree keys (DEGREE_KEY): ASCII
-    decimal only, so no '_', padding or other scripts' digits."""
-    if not DEGREE_KEY.fullmatch(text):
-        raise ValueError(f"not an ASCII decimal integer: {text!r}")
-    return int(text)
-
 
 def _range_arg(text: str):
     try:

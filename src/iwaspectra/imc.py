@@ -15,10 +15,11 @@ odd cell at alpha dualizes to a Zp-hat in homotopy degree -alpha = 2m-1 at
 m = (1-alpha)/2, where the even-cell polynomial compared on that side is
 blind to it, so that single m is excluded (2m > 1-alpha).  Records outside
 the window are still emitted, flagged in_window=false, and are allowed to
-mismatch.  A rationally trivial X has an empty window constraint: every m
-counts as in-window and both sides are trivial.  verify_weak_imc computes
-the degree window once per report and tests each m against it by the same
-rule as in_strict_window.
+mismatch.  Which records mismatch follows from the cells alone, torsion
+markers or not: side 2m-1 exactly when X has a cell at 1-2m and none at
+-2m, side 2m exactly when X has a cell at -2m and none at -2m-1.  A
+rationally trivial X has an empty window constraint: every m counts as
+in-window and both sides are trivial.
 
 The sphere case is the one-cell spectrum X = S^{2i}: its window excludes
 only m = -i, where the odd side still compares INFINITE with INFINITE, so
@@ -68,10 +69,6 @@ def _inside(window, m: int) -> bool:
     # alpha, the one degree where the guarantee provably fails (see above)
     upper = 1 - alpha if alpha % 2 else -alpha
     return 2 * m < -beta or 2 * m > upper
-
-
-def in_strict_window(X: FiniteSpectrumData, m: int) -> bool:
-    return _inside(degree_window(X), m)
 
 
 def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:

@@ -17,8 +17,6 @@ formed on that path.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .padic import (
     DEFAULT_PRECISION,
     INFINITE,
@@ -74,11 +72,6 @@ class CharPoly(Immutable):
         return sum(mult for _, mult in self.factors)
 
 
-def eval_point(p, s: int) -> Fraction:
-    """(1+p)^s - 1 as an exact rational; a p-adic integer for every s."""
-    return Fraction(1 + OddPrime(p)) ** s - 1
-
-
 def evaluate_valuation(f: CharPoly, s: int) -> PadicValuation:
     """nu_p(f((1+p)^s - 1)), factor-wise: the factor at i vanishes when
     s = i (INFINITE), otherwise contributes (1 + nu_p(s - i)) * multiplicity.
@@ -110,17 +103,19 @@ def coefficients_mod(f: CharPoly, precision: int = DEFAULT_PRECISION) -> list[in
 
 
 def format_charpoly(f: CharPoly) -> str:
+    """f as a product of factors T - root.  With n = (1+p)^|i|, the root is
+    n - 1 for i > 0 and -(n - 1)/n, in lowest terms, for i < 0."""
     if not f.factors:
         return "1"
     parts = []
     for i, mult in f.factors:
-        c = eval_point(f.p, i)
-        if c == 0:
+        n = (1 + f.p) ** abs(i)
+        if i == 0:
             base = "T"
-        elif c > 0:
-            base = f"T - {c}"
+        elif i > 0:
+            base = f"T - {n - 1}"
         else:
-            base = f"T + {-c}"
+            base = f"T + {n - 1}/{n}"
         if mult == 1:
             parts.append(base if (len(f.factors) == 1 or base == "T") else f"({base})")
         else:

@@ -31,6 +31,14 @@ class TorsionPresent(ValueError):
     """wedge_order needs torsion-free data; strip or replace first."""
 
 
+def _refuse_torsion(X: FiniteSpectrumData) -> None:
+    """Raise TorsionPresent when X carries torsion markers."""
+    if X.torsion:
+        raise TorsionPresent(
+            f"torsion markers present at degrees {sorted(X.torsion)}; "
+            "apply the torsion-free replacement first")
+
+
 def _special_index(p: int, t: int):
     """The sphere table for a checked prime p and an int t: None in the
     Zp-hat degrees, the nonzero m = (t+1)/(2(p-1)) when pi_t is cyclic of
@@ -61,10 +69,7 @@ def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
     over cells d of rank * sphere_order(p, t - d), taken over the cells with
     t - d on the sphere's support only.  The exponents are summed as ints
     and wrapped once; the first INFINITE cell decides the degree."""
-    if X.torsion:
-        raise TorsionPresent(
-            f"torsion markers present at degrees {sorted(X.torsion)}; "
-            "apply the torsion-free replacement first")
+    _refuse_torsion(X)
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError(f"degree must be an int, got {type(t).__name__}")
     p = X.p

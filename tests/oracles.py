@@ -84,6 +84,12 @@ def wedge_order_scan(X, t: int):
     return PadicValuation(total)
 
 
+def eval_point(p: int, s: int) -> Fraction:
+    """(1+p)^s - 1 as an exact rational, the point at which evaluate_exact
+    reads f((1+p)^s - 1); a p-adic integer for every s."""
+    return Fraction(1 + p) ** s - 1
+
+
 def evaluate_exact(f, x) -> Fraction:
     """f(x) for a CharPoly f, in exact rational arithmetic at any int or
     Fraction x: the product of (x - (1+p)^i + 1)^mult over its factors, with
@@ -121,6 +127,37 @@ def eigenspace_charpoly_scan(X, key) -> tuple[tuple[int, int], ...]:
     # (d + 1) // 2 is i both for d = 2i and for d = 2i - 1
     return tuple(sorted(((d + 1) // 2, r) for d, r in X.betti.items()
                         if d % 2 == parity and ((d + 1) // 2 - j) % (X.p - 1) == 0))
+
+
+def in_strict_window(X, m: int) -> bool:
+    """Whether m carries the weak main conjecture's guarantee for X, read off
+    the cells by the statement in the imc docstring: with alpha and beta the
+    lowest and highest cell, 2m < -beta or 2m > -alpha, except m = (1-alpha)/2
+    when alpha is odd.  Every m counts when X has no cells."""
+    if not X.betti:
+        return True
+    alpha, beta = min(X.betti), max(X.betti)
+    if 2 * m < -beta:
+        return True
+    return 2 * m > -alpha and not (alpha % 2 == 1 and 2 * m == 1 - alpha)
+
+
+def imc_exceptions(betti) -> set[tuple[int, int]]:
+    """The (m, side) records of the weak main-conjecture comparison that
+    mismatch, at any m, for a spectrum with these cells: side 2m-1 exactly
+    when there is a cell at 1-2m and none at -2m, side 2m exactly when there
+    is a cell at -2m and none at -2m-1.  Ranks and torsion play no part."""
+    exceptions = set()
+    for d in betti:
+        if d % 2:  # d = 1 - 2m, compared on side 2m - 1
+            m = (1 - d) // 2
+            if -2 * m not in betti:
+                exceptions.add((m, 2 * m - 1))
+        else:  # d = -2m, compared on side 2m
+            m = -d // 2
+            if -2 * m - 1 not in betti:
+                exceptions.add((m, 2 * m))
+    return exceptions
 
 
 def sn_closed_form(p: int, n: int) -> Fraction:

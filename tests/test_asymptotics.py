@@ -184,27 +184,29 @@ class TestSkipAndLadder:
 
 class TestGrowthRatio:
     def test_contract_example(self):
-        ratio = growth_ratio(S0_3, 0, 2 * 2 * 3 ** 8 - 1)
+        ratio = growth_ratio(graded_average(S0_3, 0, 2 * 2 * 3 ** 8 - 1), 1, 3)
         assert abs(ratio - 1) <= 0.15
 
     def test_negative_lambda_case(self):
         X = FiniteSpectrumData(3, {1: 1})
-        ratio = growth_ratio(X, default_skip(X), 4 * 3 ** 7)
+        ratio = growth_ratio(graded_average(X, default_skip(X), 4 * 3 ** 7), total_lambda(X), 3)
         assert abs(ratio - 1) <= 0.2
 
     def test_lambda_zero_raises(self):
+        X = FiniteSpectrumData(3, {0: 1, 1: 1})
         with pytest.raises(LambdaZero):
-            growth_ratio(FiniteSpectrumData(3, {0: 1, 1: 1}), 1, 100)
+            growth_ratio(graded_average(X, 1, 100), total_lambda(X), 3)
 
     def test_tiny_window_rejected(self):
         with pytest.raises(ValueError):
-            growth_ratio(S0_3, 0, 1)
+            growth_ratio(graded_average(S0_3, 0, 1), 1, 3)
 
     def test_ratio_tightens_along_the_ladder(self):
         spectra = [S0_3, suspend(S0_3, 2), FiniteSpectrumData(3, CP2)]
         for X in spectra:
             skip = default_skip(X)
-            ratios = [growth_ratio(X, skip, n) for n in ladder(3, 6)[1:]]
+            ratios = [growth_ratio(graded_average(X, skip, n), total_lambda(X), 3)
+                      for n in ladder(3, 6)[1:]]
             early = max(abs(r - 1) for r in ratios[:3])
             late = max(abs(r - 1) for r in ratios[-3:])
             assert late < early

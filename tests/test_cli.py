@@ -255,9 +255,10 @@ class TestGrowth:
                 return original(*args, **kwargs)
             return wrapper
 
-        for module in (cli, asymptotics):
-            for name in calls:
-                monkeypatch.setattr(module, name, counted(module, name))
+        # cli binds both names; asymptotics defines graded_average
+        for module, name in ((cli, "graded_average"), (cli, "total_lambda"),
+                             (asymptotics, "graded_average")):
+            monkeypatch.setattr(module, name, counted(module, name))
         code, out, _ = run(capsys, "growth", str(CORPUS / "s0_p3.json"), "--ladder", "4",
                            "--format", "csv")
         assert code == 0 and len(out.splitlines()) == 1 + 5
@@ -433,6 +434,7 @@ class TestFailureModes:
             {"p": 3, "betti": {"1_0": 1}},                # digit grouping
             {"p": 3, "betti": {" 2 ": 1}},                # padded degree
             {"p": 3, "betti": {"\u0661": 1}},            # Arabic-Indic digit one
+            {"p": 3, "betti": {"9" * 4301: 1}},           # past the 4300-digit int limit
             '{"p": 3, "betti": {"0": 1, "0": 2}}',        # duplicate degree
             '{"p": 3, "p": 5, "betti": {"0": 1}}',        # duplicate top-level key
         ]
@@ -508,7 +510,7 @@ class TestFailureModes:
             raise AssertionError("an oversized cell reached the computation")
 
         monkeypatch.setattr(cli, "invariants_payload", never)
-        for degree in ("14285", "-14286", "16000", "200000000", "9" * 4000):
+        for degree in ("14285", "-14286", "16000", "200000000", "9" * 4000, "9" * 4300):
             path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": 1, degree: 1}})
             code, out, err = run(capsys, "invariants", path, "--format", fmt)
             assert code == 2 and out == "", degree[:12]
@@ -630,6 +632,23 @@ class TestFailureModes:
             assert code == 2 and out == "", argv
             assert err.startswith(f"error: --precision {argv[-1]}:") and err.count("\n") == 1
             assert "4300 digits" in err
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_invariants_rows_are_capped(self, capsys, monkeypatch, fmt):
+        # 2(p-1) rows, at most the 2(MAX_RANGE + 1) records of the longest
+        # imc call: 99991 is the largest prime that answers
+        cli.check_invariants_size("x", FiniteSpectrumData(99991, {0: 1}), 64, expand=False)
+
+        def never(*_):
+            raise AssertionError("an invariants call past the row cap built its rows")
+
+        monkeypatch.setattr(cli, "invariants_payload", never)
+        for p in ("100003", "1000000000039"):
+            code, out, err = run(capsys, "invariants", str(CORPUS / "cp2_p5.json"),
+                                 "--prime-override", p, "--format", fmt)
+            assert code == 2 and out == "", p
+            assert err.startswith(f"error: p = {p}: ") and err.count("\n") == 1
+            assert f"2(p-1) = {2 * (int(p) - 1)} rows, more than 200002" in err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("growth", "--ladder", "x"),
@@ -849,7 +868,8 @@ class TestRowsMatchTheDictRoute:
 
 # --------------------------------------------------------------- CLI fuzz
 
-PRIMES = st.sampled_from(["3", "5", "7", "11", "101", "2", "9", "1", "0", "-7", "15"])
+PRIMES = st.sampled_from(["3", "5", "7", "11", "101", "2", "9", "1", "0", "-7", "15",
+                          "1000000000039"])
 BAD_INTS = st.sampled_from(["", "x", "1_0", " 3", "\u0663", "3.0", "+3", "-", "99999999999999999999"])
 small_ints = st.integers(-60, 60).map(str)
 ranges = st.one_of(
@@ -876,7 +896,8 @@ def spectrum_bytes(draw):
         spec = draw(spectrum_files)
     else:
         degree_keys = st.one_of(st.integers(-20, 20).map(str),
-                                st.sampled_from(["x", "1_0", " 2", "\u0663", "-0", "007"]))
+                                st.sampled_from(["x", "1_0", " 2", "\u0663", "-0", "007",
+                                                 "9" * 4301]))
         ranks = st.one_of(st.integers(-1, 5), st.booleans(), st.just("1"), st.just(1.5))
         spec = draw(st.fixed_dictionaries(
             {"p": st.one_of(st.sampled_from([3, 5, 7, 11, 2, 9, -3]), st.just("3"),
@@ -915,8 +936,8 @@ def cli_argv(draw, path):
 
 class TestFuzz:
     """Bounded fuzz over argv and spectrum files, inside the caps: small
-    primes and ranks, ranges and ladders no longer than MAX_RANGE and
-    MAX_LADDER.  Every run ends in a documented exit code, with no traceback,
+    primes and ranks (and one 13-digit prime), ranges and ladders no longer
+    than MAX_RANGE and MAX_LADDER.  Every run ends in a documented exit code, with no traceback,
     and quickly."""
 
     @given(data=st.data(), content=spectrum_bytes())

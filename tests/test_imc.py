@@ -6,12 +6,19 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iwaspectra.imc import ImcRecord, in_strict_window, verify_weak_imc
+from iwaspectra.imc import ImcRecord, verify_weak_imc
 from iwaspectra.iwalg import CharPoly
 from iwaspectra.padic import INFINITE, PadicValuation
 from iwaspectra.spectra import FiniteSpectrumData, degree_window, strip_torsion, suspend
 
-from oracles import evaluate_exact, random_spectrum, rational_valuation, sphere_exponent_bruteforce
+from oracles import (
+    evaluate_exact,
+    imc_exceptions,
+    in_strict_window,
+    random_spectrum,
+    rational_valuation,
+    sphere_exponent_bruteforce,
+)
 
 CP2 = {0: 1, 2: 1, 4: 1}
 S0_3 = FiniteSpectrumData(3, {0: 1})
@@ -33,34 +40,42 @@ def record_at(report, m: int, side: int) -> ImcRecord:
     return matches[0]
 
 
+def in_window(X: FiniteSpectrumData, m: int) -> bool:
+    """The in_window flag of both of X's records at m, which must agree with
+    the oracle's reading of the window statement."""
+    flags = {r.in_window for r in verify_weak_imc(X, [m]).records}
+    assert flags == {in_strict_window(X, m)}, (X, m)
+    return flags.pop()
+
+
 class TestStrictWindow:
     def test_sphere_window(self):
         # cells only in degree 0: window is m < 0 or m > 0
-        assert in_strict_window(S0_3, 4)
-        assert in_strict_window(S0_3, -1)
-        assert not in_strict_window(S0_3, 0)
+        assert in_window(S0_3, 4)
+        assert in_window(S0_3, -1)
+        assert not in_window(S0_3, 0)
 
     def test_spread_window(self):
         X = FiniteSpectrumData(5, CP2)  # alpha 0, beta 4
         for m in (-3, -4, 1, 2):
-            assert in_strict_window(X, m)
+            assert in_window(X, m)
         for m in (-2, -1, 0):
-            assert not in_strict_window(X, m)
+            assert not in_window(X, m)
 
     def test_rationally_trivial_has_no_constraint(self):
         X = FiniteSpectrumData(3, {}, {2: "a"})
-        assert all(in_strict_window(X, m) for m in range(-10, 10))
+        assert all(in_window(X, m) for m in range(-10, 10))
 
     def test_odd_bottom_cell_shifts_the_upper_branch(self):
         # an odd cell at alpha dualizes to a Zp-hat in degree -alpha, seen by
         # side 2m-1 at m = (1-alpha)/2; that m must not carry a guarantee
         S1 = FiniteSpectrumData(3, {1: 1})
-        assert not in_strict_window(S1, 0)
-        assert in_strict_window(S1, -1) and in_strict_window(S1, 1)
+        assert not in_window(S1, 0)
+        assert in_window(S1, -1) and in_window(S1, 1)
         X = FiniteSpectrumData(5, {-9: 3, -3: 1, -2: 4, 8: 1})
-        assert not in_strict_window(X, 5)
-        assert in_strict_window(X, 6)
-        assert not in_strict_window(X, 4)  # interior, as before
+        assert not in_window(X, 5)
+        assert in_window(X, 6)
+        assert not in_window(X, 4)  # interior, as before
 
     @given(p=st.sampled_from([3, 5, 7, 11, 101]),
            betti=st.dictionaries(st.integers(-30, 30), st.integers(1, 4), max_size=8),
@@ -77,6 +92,33 @@ class TestStrictWindow:
         assert [r.m for r in report.records] == [m for m in ms for _ in range(2)]
         for rec in report.records:
             assert rec.in_window == in_strict_window(X, rec.m)
+
+
+class TestMismatches:
+    def test_contract_examples(self):
+        # a cell at d with no cell at d - 1 mismatches on side -d: every cell
+        # of S^0, S^1 and CP^2, but the cell at 1 of S^0 v S^1 has one at 0
+        assert imc_exceptions({0: 1}) == {(0, 0)}
+        assert imc_exceptions({1: 1}) == {(0, -1)}
+        assert imc_exceptions(CP2) == {(0, 0), (-1, -2), (-2, -4)}
+        assert imc_exceptions({0: 1, 1: 1}) == {(0, 0)}
+        assert imc_exceptions({}) == set()
+        report = verify_weak_imc(FiniteSpectrumData(5, CP2), range(-4, 5))
+        assert {(r.m, r.side) for r in report.records if not r.match} == imc_exceptions(CP2)
+
+    @given(p=st.sampled_from([3, 5, 7, 11, 101]),
+           betti=st.dictionaries(st.integers(-30, 30), st.integers(1, 4), max_size=8),
+           torsion=st.dictionaries(st.integers(-30, 30), st.sampled_from(["a", "b", "zpk"]),
+                                   max_size=3),
+           a=st.integers(-40, 40), length=st.integers(0, 40))
+    @example(p=3, betti={1: 1}, torsion={}, a=-4, length=9)
+    @example(p=5, betti={-9: 3, -3: 1, -2: 4, 8: 1}, torsion={0: "a"}, a=-10, length=21)
+    @settings(max_examples=300, deadline=None)
+    def test_mismatches_are_the_cell_rule(self, p, betti, torsion, a, length):
+        ms = range(a, a + length)
+        report = verify_weak_imc(FiniteSpectrumData(p, betti, torsion), ms)
+        mismatches = {(r.m, r.side) for r in report.records if not r.match}
+        assert mismatches == {(m, side) for m, side in imc_exceptions(betti) if m in ms}
 
 
 class TestWeakImc:

@@ -4,21 +4,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iwaspectra.iwalg import (
-    CharPoly,
-    coefficients_mod,
-    eval_point,
-    evaluate_valuation,
-    format_charpoly,
-)
+from iwaspectra.iwalg import CharPoly, coefficients_mod, evaluate_valuation, format_charpoly
 from iwaspectra.padic import INFINITE, PadicValuation
 
 from oracles import (
     coefficients,
     euclid_inverse,
+    eval_point,
     evaluate_exact,
     horner_eval,
     rational_valuation,
@@ -197,7 +192,37 @@ class TestInvariants:
         assert f.mu == 0
 
 
+def format_charpoly_fraction(f: CharPoly) -> str:
+    """The printed form of f with each root (1+p)^i - 1 formed as an exact
+    Fraction and printed by str; format_charpoly prints it from integers."""
+    if not f.factors:
+        return "1"
+    parts = []
+    for i, mult in f.factors:
+        c = Fraction(1 + f.p) ** i - 1
+        if c == 0:
+            base = "T"
+        elif c > 0:
+            base = f"T - {c}"
+        else:
+            base = f"T + {-c}"
+        if mult == 1:
+            parts.append(base if (len(f.factors) == 1 or base == "T") else f"({base})")
+        else:
+            parts.append(f"({base})^{mult}")
+    return " * ".join(parts)
+
+
 class TestFormat:
+    @given(p=st.sampled_from([3, 5, 7, 11, 101, 1009, 10007]),
+           fs=st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 4)), max_size=6))
+    @example(p=10007, fs=[(-30, 4), (-1, 1), (0, 2), (30, 1)])
+    @example(p=3, fs=[(-1, 1)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_renderer(self, p, fs):
+        f = CharPoly(p, tuple(fs))
+        assert format_charpoly(f) == format_charpoly_fraction(f)
+
     def test_rendering(self):
         assert format_charpoly(CharPoly(3)) == "1"
         assert format_charpoly(CharPoly(3, ((0, 1),))) == "T"
