@@ -57,7 +57,8 @@ MAX_RANGE = 100000
 # invariants prints no integer of more than this many digits, Python's
 # default limit for int-to-str conversion: a cell at degree 2i or 2i - 1
 # puts (1+p)^|i| into its charpoly, and --precision N makes residues below
-# p^N
+# p^N.  main() sets the interpreter's limit to it whatever
+# PYTHONINTMAXSTRDIGITS says, so no parse is longer than the guards allow
 MAX_DIGITS = 4300
 
 # invariants --format json expands an eigenspace polynomial of degree lambda
@@ -240,22 +241,10 @@ def invariants_rows(X: FiniteSpectrumData) -> list[tuple]:
             in _shared_cells(X, lambda f: (str(f.degree), str(f.mu), format_charpoly(f)))]
 
 
-def invariants_payload(name, X: FiniteSpectrumData, precision: int, fmt: str) -> dict:
-    """The invariants result, with its rows under "eigenspaces": a dict per
-    eigenspace, with its factors and coefficients, for JSON, and
-    invariants_rows otherwise."""
+def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
+    """The invariants result as JSON, with a dict per eigenspace, its
+    factors and coefficients included, under "eigenspaces"."""
     window = degree_window(X)
-    if fmt == "json":
-        eigenspaces = [{"degree": degree, "j": j, **cells} for (degree, j), cells
-                       in _shared_cells(X, lambda f: {
-                           "lambda": f.degree,
-                           "mu": f.mu,
-                           "factors": [[i, mult] for i, mult in f.factors],
-                           "charpoly": format_charpoly(f),
-                           "coefficients_mod": coefficients_mod(f, precision),
-                       })]
-    else:
-        eigenspaces = invariants_rows(X)
     return {
         "name": name,
         "p": int(X.p),
@@ -264,7 +253,14 @@ def invariants_payload(name, X: FiniteSpectrumData, precision: int, fmt: str) ->
         "alpha": None if window is None else window[0],
         "beta": None if window is None else window[1],
         "precision": precision,
-        "eigenspaces": eigenspaces,
+        "eigenspaces": [{"degree": degree, "j": j, **cells} for (degree, j), cells
+                        in _shared_cells(X, lambda f: {
+                            "lambda": f.degree,
+                            "mu": f.mu,
+                            "factors": [[i, mult] for i, mult in f.factors],
+                            "charpoly": format_charpoly(f),
+                            "coefficients_mod": coefficients_mod(f, precision),
+                        })],
     }
 
 
@@ -309,11 +305,12 @@ def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int,
 def cmd_invariants(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
     check_invariants_size(args.file, X, args.precision, args.format == "json")
-    payload = invariants_payload(name, X, args.precision, args.format)
-    window = "empty" if payload["alpha"] is None else f"[{payload['alpha']}, {payload['beta']}]"
-    lead = (f"name: {name or '-'}\np = {payload['p']}  chi = {payload['chi']}  "
-            f"total_lambda = {payload['total_lambda']}\ndegree window: {window}")
-    emit(args.format, lambda: payload, INVARIANTS_HEADERS, lambda: payload["eigenspaces"], lead)
+    window = degree_window(X)
+    shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
+    lead = (f"name: {name or '-'}\np = {int(X.p)}  chi = {euler_characteristic(X)}  "
+            f"total_lambda = {total_lambda(X)}\ndegree window: {shown}")
+    emit(args.format, lambda: invariants_payload(name, X, args.precision), INVARIANTS_HEADERS,
+         lambda: invariants_rows(X), lead)
     return EXIT_OK
 
 
@@ -535,6 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    sys.set_int_max_str_digits(MAX_DIGITS)  # before parse_args: the integer flags
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format not in FORMATS:

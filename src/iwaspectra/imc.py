@@ -10,16 +10,30 @@ statement checked degree by degree is
 
 where ~p compares valuations under the extended convention (INFINITE matches
 INFINITE).  The guarantee holds on the window 2m < -beta or 2m > -alpha, both
-strict, with one extra half-step on the upper branch when alpha is odd: an
-odd cell at alpha dualizes to a Zp-hat in homotopy degree -alpha = 2m-1 at
-m = (1-alpha)/2, where the even-cell polynomial compared on that side is
-blind to it, so that single m is excluded (2m > 1-alpha).  Records outside
-the window are still emitted, flagged in_window=false, and are allowed to
-mismatch.  Which records mismatch follows from the cells alone, torsion
-markers or not: side 2m-1 exactly when X has a cell at 1-2m and none at
--2m, side 2m exactly when X has a cell at -2m and none at -2m-1.  A
-rationally trivial X has an empty window constraint: every m counts as
-in-window and both sides are trivial.
+strict, but for m = (1-alpha)/2 when alpha is odd.  Records outside the window
+are still emitted, flagged in_window=false.  A rationally trivial X has an
+empty window constraint: every m counts as in-window and both sides are
+trivial.
+
+Exactly these records mismatch, torsion markers or not: side 2m-1 when X has
+a cell at 1-2m and none at -2m, side 2m when X has a cell at -2m and none at
+-2m-1.  Why: the dual replacement has a cell at -d for each cell d of X, and
+pi_t of L_K(1) S^{-d} is pi_{t+d} of the sphere, Z/p^(1+nu_p(k)) in degree
+2(p-1)k - 1 for k != 0, Zp-hat in degrees 0 and -1, zero elsewhere.  On side
+t = 2m-1, t + d = 2(p-1)k - 1 asks for an even cell d = 2i with
+m + i = (p-1)k, so i = -m mod p-1: the cells of the (0, -m) eigenspace.
+Each, of rank r, adds r * (1 + nu_p(m+i)) to the left valuation (the orders
+of wedge summands multiply), and its factor (i, r) adds the same on the
+right.  Its k = 0 case, an even cell at -2m, is INFINITE on both sides, as
+the factor i = -m vanishes at s = -m.  What is left is the Zp-hat in degree
+t + d = 0, from an odd cell at 1-2m, which no factor of that eigenspace
+sees: the left side is INFINITE, and the sides part unless an even cell at
+-2m makes the right side INFINITE too.  Side 2m is the same with the odd
+cells d = 2i-1, the (-1, -m) eigenspace, an odd cell at -2m-1 as the k = 0
+case and an even cell at -2m as the unmatched Zp-hat.  Such a cell lies in
+[alpha, beta] with 2m = 1-d or 2m = -d, so no mismatch falls in the window,
+and the odd cell at alpha is why the half-step at m = (1-alpha)/2 is left
+out of it.
 
 The sphere case is the one-cell spectrum X = S^{2i}: its window excludes
 only m = -i, where the odd side still compares INFINITE with INFINITE, so

@@ -35,16 +35,14 @@ class CharPoly(Immutable):
     construction normalizes whatever it is handed.
     """
 
-    __slots__ = ("p", "factors")
+    __slots__ = _fields = ("p", "factors")
 
     # every factor is monic and linear, so no power of p divides the
     # polynomial: the mu invariant is 0
     mu = 0
 
     def __init__(self, p: int, factors: tuple[tuple[int, int], ...] = ()):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "factors", factors)
-        self.__post_init__()
+        self._init(p, factors)
 
     def __post_init__(self):
         object.__setattr__(self, "p", OddPrime(self.p))
@@ -54,17 +52,6 @@ class CharPoly(Immutable):
                 raise ValueError(f"bad factor {(i, mult)!r}: need integer i and multiplicity >= 1")
             merged[i] = merged.get(i, 0) + mult
         object.__setattr__(self, "factors", tuple(sorted(merged.items())))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.p == other.p and self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.factors))
-
-    def __repr__(self):
-        return f"CharPoly(p={self.p!r}, factors={self.factors!r})"
 
     @property
     def degree(self) -> int:

@@ -78,11 +78,33 @@ class OddPrime(int):
 
 
 class Immutable:
-    """Refuses assignment and deletion on instances.  A value type sets its
-    fields once, in __init__, through object.__setattr__, then validates
-    and normalizes them in __post_init__."""
+    """The value-type protocol, written once.  A subclass names its fields
+    in _fields, and its __init__, which keeps the signature callers use,
+    hands their values to _init: each field is set once, through
+    object.__setattr__, and then the subclass's own __post_init__ runs
+    once, to validate and normalize them.  Instances compare equal only to
+    instances of the same class with equal fields, hash by their fields (a
+    type with unhashable fields sets __hash__ = None), print as
+    Name(field=value, ...), and refuse assignment and deletion."""
 
     __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -94,28 +116,16 @@ class Immutable:
 class PadicValuation(Immutable):
     """A natural number or INFINITE, validated once; arithmetic is on .value."""
 
-    __slots__ = ("value",)  # nonnegative int, or math.inf
+    __slots__ = _fields = ("value",)  # nonnegative int, or math.inf
 
     def __init__(self, value):
-        object.__setattr__(self, "value", value)
-        self.__post_init__()
+        self._init(value)
 
     def __post_init__(self):
         ok = (isinstance(self.value, int) and not isinstance(self.value, bool)
               and self.value >= 0) or self.value == math.inf
         if not ok:
             raise ValueError(f"valuation must be a natural number or infinity, got {self.value!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"PadicValuation(value={self.value!r})"
 
     @property
     def is_finite(self) -> bool:

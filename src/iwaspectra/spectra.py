@@ -39,12 +39,11 @@ class FiniteSpectrumData(Immutable):
     at the odd prime p, both held sorted by degree in read-only mappings.
     Instances keep a __dict__ for the cached eigenspace map."""
 
+    _fields = ("p", "betti", "torsion")
+
     def __init__(self, p: int, betti: Mapping[int, int],
                  torsion: Mapping[int, str] = MappingProxyType({})):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "betti", betti)
-        object.__setattr__(self, "torsion", torsion)
-        self.__post_init__()
+        self._init(p, betti, torsion)
 
     def __post_init__(self):
         object.__setattr__(self, "p", OddPrime(self.p))
@@ -59,16 +58,7 @@ class FiniteSpectrumData(Immutable):
         object.__setattr__(self, "betti", MappingProxyType(dict(sorted(self.betti.items()))))
         object.__setattr__(self, "torsion", MappingProxyType(dict(sorted(self.torsion.items()))))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p == other.p and self.betti == other.betti
-                    and self.torsion == other.torsion)
-        return NotImplemented
-
     __hash__ = None  # the mappings are unhashable
-
-    def __repr__(self):
-        return f"FiniteSpectrumData(p={self.p!r}, betti={self.betti!r}, torsion={self.torsion!r})"
 
     @cached_property
     def eigenspaces(self) -> Mapping[tuple[int, int], CharPoly]:

@@ -1,9 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes its answer from first principles (repeated exact
-division, extended Euclid, exhaustive search, literal window sums) so the
-library's closed forms have something honest to disagree with.  Only the
-plain value types are imported from the package; no computation paths,
+division, extended Euclid, exhaustive search, literal window sums, base-p
+digit counts) so the library's closed forms have something honest to
+disagree with.  Only the plain value types are imported from the package; no computation paths,
 apart from sphere_order in wedge_order_scan: that oracle checks which cells
 wedge_order skips, and sphere_order is held to sphere_exponent_bruteforce on
 its own.
@@ -188,6 +188,44 @@ def ladder_identity_average(p: int, betti: dict, skip: int, n: int) -> Fraction:
         sign = 1 if d % 2 else -1
         total += sign * r * (p ** (1 + int_valuation(p, k_d)) - p ** (n + 1))
     return Fraction(total, N) - Fraction(lam * (n + 1), 2)
+
+
+def prime_power_prefix_sum(p: int, K: int) -> Fraction:
+    """sum_{k=1..K} p^nu_p(k), from the base-p digits of K:
+
+        K + (1 - 1/p) * sum_{v=1..floor(log_p K)} (K - (K mod p^v))
+
+    A k counts 1, plus p^v - p^(v-1) for each v from 1 to nu_p(k); and
+    K - (K mod p^v) is p^v times the number of k <= K that p^v divides."""
+    digits_sum, q = 0, p
+    while q <= K:
+        digits_sum += K - K % q
+        q *= p
+    return K + Fraction(p - 1, p) * digits_sum
+
+
+def window_average_digits(p: int, betti: dict, skip: int, length: int) -> Fraction:
+    """The average over the window skip+1 .. skip+length of a window above
+    every cell, of any length, from prime_power_prefix_sum.  A cell at d of
+    rank r adds r * (-1)^j in every degree j, and on top r * (-1)^j (p^e - 1)
+    at its special degrees j = d + 2(p-1)k - 1, k >= 1, where the sphere has
+    order p^e with e = 1 + nu_p(k) and (-1)^j = -(-1)^d.  Over k = 1..K the
+    excesses p^e - 1 sum to p * prime_power_prefix_sum(p, K) - K."""
+    assert all(d <= skip for d in betti), "the window must lie above every cell"
+    first, last = skip + 1, skip + length
+    block = 2 * (p - 1)
+    signs = 0 if length % 2 == 0 else (1 if first % 2 == 0 else -1)  # sum of (-1)^j
+
+    def excess_up_to(K):
+        return p * prime_power_prefix_sum(p, K) - K
+
+    total = Fraction(0)
+    for d, r in betti.items():
+        k_first = -((d - 1 - first) // block)  # least k with d + block*k - 1 >= first
+        k_last = (last - d + 1) // block  # k_first - 1 when the run is empty
+        excess = excess_up_to(k_last) - excess_up_to(k_first - 1)
+        total += r * (signs - excess if d % 2 == 0 else signs + excess)
+    return total / length
 
 
 def horner_eval(coeffs_constant_first, x) -> Fraction:

@@ -31,6 +31,7 @@ from iwaspectra.spectra import (
 )
 
 from oracles import (
+    imc_exceptions,
     int_valuation,
     ladder_identity_average,
     random_spectrum,
@@ -111,19 +112,26 @@ def test_03_sphere_simc_sweep():
 def test_04_weak_imc_random_corpus():
     start = time.perf_counter()
     rng = random.Random(41)
-    mismatches, inert_failures = [], []
+    # every record is held to the cell rule of oracles.imc_exceptions,
+    # inside the window or not
+    mismatches, misplaced, inert_failures = [], [], []
     for p in PRIMES:
         for _ in range(100):
             X = random_spectrum(rng, p, torsion_prob=0.6)
             rep = verify_weak_imc(X, range(-15, 16))
             mismatches.extend(rep.in_window_mismatches)
+            found = {(r.m, r.side) for r in rep.records if not r.match}
+            expected = {(m, side) for m, side in imc_exceptions(X.betti) if -15 <= m <= 15}
+            if found != expected:
+                misplaced.append((X, sorted(found ^ expected)))
             if rep != verify_weak_imc(strip_torsion(X), range(-15, 16)):
                 inert_failures.append(X)
     elapsed = time.perf_counter() - start
-    ok = not mismatches and not inert_failures
+    ok = not mismatches and not misplaced and not inert_failures
     report(4, "weak main conjecture on 300 random spectra, m in [-15, 15]",
            ok, elapsed, 10)
     assert not mismatches, mismatches[:5]
+    assert not misplaced, misplaced[:3]
     assert not inert_failures, inert_failures[:2]
     assert elapsed < 10
 

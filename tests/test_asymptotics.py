@@ -25,6 +25,7 @@ from oracles import (
     random_spectrum,
     sn_closed_form,
     window_average_bruteforce,
+    window_average_digits,
 )
 
 S0_3 = FiniteSpectrumData(3, {0: 1})
@@ -107,6 +108,32 @@ class TestGradedAverage:
         X = FiniteSpectrumData(3, {-6: 1})
         got = graded_average(X, 0, 4)
         assert got.value == window_average_bruteforce(3, {-6: 1}, 0, 4)
+
+
+class TestDigitFormula:
+    """graded_average against window_average_digits, which sums each cell's
+    special degrees from the base-p digits of the run's ends: windows of any
+    length that start at or past default_skip."""
+
+    def test_oracle_matches_bruteforce_on_short_windows(self, rng):
+        for p in (3, 5, 7):
+            for _ in range(4):
+                X, skip = safe_random_spectrum(rng, p)
+                for extra in (0, 1, 7):
+                    for length in range(1, 4 * (p - 1) * p + 1):
+                        assert (window_average_digits(p, X.betti, skip + extra, length)
+                                == window_average_bruteforce(p, X.betti, skip + extra, length))
+
+    @given(p=st.sampled_from([3, 5, 7, 11, 101]),
+           betti=st.dictionaries(st.integers(-40, 40), st.integers(1, 4), max_size=6),
+           extra=st.integers(0, 10 ** 30),
+           length=st.one_of(st.integers(1, 10 ** 4), st.integers(1, 10 ** 60)))
+    @settings(max_examples=400, deadline=None)
+    def test_closed_form_equals_digit_formula(self, p, betti, extra, length):
+        X = FiniteSpectrumData(p, betti)
+        skip = default_skip(X) + extra
+        assert (graded_average(X, skip, length).value
+                == window_average_digits(p, X.betti, skip, length))
 
 
 class TestLadderIdentity:

@@ -510,6 +510,7 @@ class TestFailureModes:
             raise AssertionError("an oversized cell reached the computation")
 
         monkeypatch.setattr(cli, "invariants_payload", never)
+        monkeypatch.setattr(cli, "invariants_rows", never)
         for degree in ("14285", "-14286", "16000", "200000000", "9" * 4000, "9" * 4300):
             path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": 1, degree: 1}})
             code, out, err = run(capsys, "invariants", path, "--format", fmt)
@@ -527,6 +528,7 @@ class TestFailureModes:
             raise AssertionError("an unprintable lambda reached the computation")
 
         monkeypatch.setattr(cli, "invariants_payload", never)
+        monkeypatch.setattr(cli, "invariants_rows", never)
         for betti in ({"0": big, "4": big}, {"0": big, "2": big}, {"-1": big, "1": big}):
             path = write_spectrum(tmp_path, {"p": 3, "betti": betti})
             code, out, err = run(capsys, "invariants", path, "--format", fmt)
@@ -626,6 +628,7 @@ class TestFailureModes:
             raise AssertionError("an oversized precision reached the computation")
 
         monkeypatch.setattr(cli, "invariants_payload", never)
+        monkeypatch.setattr(cli, "invariants_rows", never)
         for argv in (["--precision", "5089"], ["--precision", "9" * 4000],
                      ["--prime-override", "10007", "--precision", "1100"]):
             code, out, err = run(capsys, "invariants", spec, *argv, "--format", fmt)
@@ -643,6 +646,7 @@ class TestFailureModes:
             raise AssertionError("an invariants call past the row cap built its rows")
 
         monkeypatch.setattr(cli, "invariants_payload", never)
+        monkeypatch.setattr(cli, "invariants_rows", never)
         for p in ("100003", "1000000000039"):
             code, out, err = run(capsys, "invariants", str(CORPUS / "cp2_p5.json"),
                                  "--prime-override", p, "--format", fmt)
@@ -699,6 +703,50 @@ class TestStartCost:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+class TestIntDigitLimit:
+    """main() sets the interpreter's int-to-str limit to MAX_DIGITS, so
+    PYTHONINTMAXSTRDIGITS changes neither what parses nor what prints."""
+
+    @staticmethod
+    def cli_run(argv, digits=None):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for name in ("PYTHONINTMAXSTRDIGITS", cli.FORMAT_ENV_VAR):
+            env.pop(name, None)
+        if digits is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = digits
+        return subprocess.run([sys.executable, "-m", "iwaspectra.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_a_low_limit_prints_what_the_default_prints(self, tmp_path, fmt):
+        # the cell at 3000 puts 4^1500, of 904 digits, into its charpoly
+        path = write_spectrum(tmp_path, {"p": 3, "betti": {"3000": 1}})
+        default = self.cli_run(["invariants", path, "--format", fmt])
+        low = self.cli_run(["invariants", path, "--format", fmt], "640")
+        assert default.returncode == 0 and default.stderr == ""
+        assert low.returncode == 0 and low.stderr == ""
+        assert low.stdout == default.stdout and str(4 ** 1500 - 1) in low.stdout
+
+    # written by hand: json.dumps would refuse the 5000-digit number too
+    @pytest.mark.parametrize("text", [
+        '{"p": 3, "betti": {"0": 1}, "torsion": [%s]}' % ("9" * 5000),
+        '{"p": 3, "betti": {"0": %s}}' % ("9" * 5000),
+    ], ids=["torsion", "rank"])
+    def test_no_limit_still_refuses_long_integers(self, tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        proc = self.cli_run(["invariants", str(path)], "0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {path}: ") and proc.stderr.count("\n") == 1
+        assert "4300 digits" in proc.stderr
+
+    def test_no_limit_still_refuses_long_integer_flags(self):
+        proc = self.cli_run(["invariants", str(CORPUS / "cp2_p5.json"),
+                             "--prime-override", "1" * 5000], "0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "argument --prime-override: expected an integer" in proc.stderr
 
 
 class TestFormatSelection:

@@ -4,6 +4,7 @@ type, print their fields, and run __post_init__ exactly once per
 construction (bench/tracing.py counts constructions there)."""
 
 import math
+import re
 
 import pytest
 
@@ -115,3 +116,35 @@ def test_post_init_still_validates(post_inits):
     with pytest.raises(ValueError):
         FiniteSpectrumData(3, {0: 0})
     assert post_inits == {"PadicValuation": 1, "CharPoly": 1, "FiniteSpectrumData": 1}
+
+
+def test_keyword_construction():
+    assert PadicValuation(value=3) == PadicValuation(3)
+    assert CharPoly(p=5, factors=((2, 1),)) == CharPoly(5, ((2, 1),))
+    assert CharPoly(p=5) == CharPoly(5, ())
+    assert FiniteSpectrumData(p=3, betti={0: 1}, torsion={1: "a"}) == (
+        FiniteSpectrumData(3, {0: 1}, {1: "a"}))
+    assert FiniteSpectrumData(betti={0: 1}, p=3) == FiniteSpectrumData(3, {0: 1}, {})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PadicValuation(),
+    lambda: PadicValuation(1, 2),
+    lambda: PadicValuation(valuation=1),
+    lambda: CharPoly(),
+    lambda: CharPoly(5, (), ()),
+    lambda: FiniteSpectrumData(3),
+    lambda: FiniteSpectrumData(3, {0: 1}, {}, {}),
+    lambda: FiniteSpectrumData(3, {0: 1}, p=3),
+])
+def test_wrong_arguments_are_a_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+@pytest.mark.parametrize("make, fields", VALUES)
+def test_fields_are_what_repr_prints(make, fields):
+    value = make()
+    assert value._fields == fields
+    printed = re.findall(r"(?:^\w+\(|, )(\w+)=", repr(value))
+    assert tuple(printed) == fields
