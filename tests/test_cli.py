@@ -806,12 +806,16 @@ class TestBenchReferences:
         self.assert_recorded(calls)
 
     def test_spectra_sweep_slots_are_byte_identical(self, tmp_path, workloads):
-        # the pool is variant-major, so its first slice is variant 0 of every
-        # slot: imc over hundreds of m and invariants at p = 1009 and 10007
+        # every variant of every slot: imc over hundreds of m and invariants
+        # at p = 1009 and 10007
         calls = workloads.pool("spectra-sweep", tmp_path, CORPUS)
-        slots = len(calls) // workloads.POOL_VARIANTS
-        assert slots == 17
-        self.assert_recorded(calls[:slots])
+        assert len(calls) == 17 * workloads.POOL_VARIANTS
+        self.assert_recorded(calls)
+
+    def test_growth_ladder_pool_is_byte_identical(self, tmp_path, workloads):
+        calls = workloads.pool("growth-ladder", tmp_path, CORPUS)
+        assert len(calls) == 12 * workloads.POOL_VARIANTS
+        self.assert_recorded(calls)
 
 
 # ------------------------------------------------- the dict-then-emit route
