@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .k1 import _refuse_torsion, sphere_order
 from .padic import OddPrime
@@ -114,6 +113,10 @@ def graded_average(X: FiniteSpectrumData, skip: int, length: int) -> GradedAvera
         special = (_excess_sum(p, max(lo, 1), hi, excess)
                    + _excess_sum(p, max(-hi, 1), -lo, excess))
         total += r * (alternating - special if d % 2 == 0 else alternating + special)
+    # imported here, not at the top: fractions pulls in decimal, which the
+    # subcommands that never take an average should not pay for at start
+    from fractions import Fraction
+
     return GradedAverage(skip, length, Fraction(total, length))
 
 

@@ -20,6 +20,7 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .asymptotics import LambdaZero, default_skip, graded_average, growth_ratio, ladder
 from .iwalg import CharPoly, coefficients_mod, format_charpoly
@@ -28,7 +29,6 @@ from .padic import DEFAULT_PRECISION, NotAnOddPrime, OddPrime, PadicValuation
 from .spectra import (
     FiniteSpectrumData,
     degree_window,
-    eigenspace_keys,
     euler_characteristic,
     strip_torsion,
     total_lambda,
@@ -175,12 +175,22 @@ def val_json(v: PadicValuation):
     return v.value if v.is_finite else "inf"
 
 
+_GAP = "  "
+
+
+def _columns(widths) -> str:
+    """The table layout, the one place it is written: cells left-justified
+    to widths, _GAP apart.  A line is this template filled with its cells,
+    with the trailing blanks cut."""
+    return _GAP.join(f"%-{w}s" for w in widths)
+
+
 def render_table(headers, rows) -> str:
     """Columns left-justified to their widest cell, two spaces apart, with
     trailing blanks cut from every line."""
     widths = [max(len(h), max((len(r[i]) for r in rows), default=0))
               for i, h in enumerate(headers)]
-    line = "  ".join(f"%-{w}s" for w in widths)
+    line = _columns(widths)
     out = [(line % tuple(headers)).rstrip()]
     out += [(line % tuple(r)).rstrip() for r in rows]
     return "\n".join(out) + "\n"
@@ -193,8 +203,67 @@ def render_csv(headers, rows) -> str:
     return "".join(",".join(r) + "\n" for r in (headers, *rows))
 
 
+class JsonRows:
+    """A JSON list of objects with the same keys, fields, in that order:
+    each row is the tuple of one object's values."""
+
+    __slots__ = ("fields", "rows")
+
+    def __init__(self, fields, rows):
+        self.fields, self.rows = fields, rows
+
+
 def render_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(payload, indent=2) + "\n", byte for byte.  payload is
+    built from dicts with str keys, lists, tuples, str, int (bool included)
+    and None, and JsonRows; any other type is a TypeError.  Strings are
+    escaped to ASCII by the json module's C encoder.  A JsonRows is written
+    through one template built from its fields, and each value in its rows
+    that is not an int is encoded once however many rows hold that object."""
+    return _json(payload, "") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, JsonRows):
+        return _json_rows(value, indent) if value.rows else "[]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in value.items())
+        return "{\n" + items + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_rows(table: JsonRows, indent: str) -> str:
+    inner, cell = indent + "  ", indent + "    "
+    keys = ",\n".join(f"{cell}{_quote(f).replace('%', '%%')}: %s" for f in table.fields)
+    template = f"{inner}{{\n{keys}\n{inner}}}"
+    shared = {}  # id -> (value, text): the value is kept, so its id stays its own
+
+    def text(v):
+        if v.__class__ is int:
+            return v  # %s writes an int as JSON does
+        known = shared.get(id(v))
+        if known is None:
+            known = shared[id(v)] = (v, _json(v, cell))
+        return known[1]
+
+    return ("[\n" + ",\n".join(template % tuple(map(text, row)) for row in table.rows)
+            + "\n" + indent + "]")
 
 
 def emit(fmt, payload, headers, rows, lead) -> None:
@@ -217,34 +286,65 @@ def str_rows(records, headers) -> list[tuple]:
 # ------------------------------------------------------------- subcommands
 
 INVARIANTS_HEADERS = ("degree", "j", "lambda", "mu", "charpoly")
+INVARIANTS_FIELDS = ("degree", "j", "lambda", "mu", "factors", "charpoly", "coefficients_mod")
 
 
-def _shared_cells(X: FiniteSpectrumData, cells_of):
-    """(key, cells_of(f)) for every (degree, j) key and its polynomial f,
-    with cells_of called once per distinct polynomial and its result shared
-    by that polynomial's rows: most of the 2(p-1) rows are the constant 1
-    when p is large.  The keys are canonical, so f is read straight from
-    the eigenspace map."""
-    one = CharPoly(X.p)
-    shared = {}
-    for key in eigenspace_keys(X.p):
-        f = X.eigenspaces.get(key, one)
-        cells = shared.get(f.factors)
-        if cells is None:
-            cells = shared[f.factors] = cells_of(f)
-        yield key, cells
+def _distinct_charpolys(X: FiniteSpectrumData):
+    """(polys, slots): the distinct eigenspace polynomials of X, the constant
+    1 first, and for degree 0 and for degree -1 the index into polys of the
+    polynomial of each weight j in [0, p-2].  Read from the sparse
+    eigenspace map, so every zero eigenspace points at the constant 1, and
+    each cell of the output is formatted once per distinct polynomial:
+    most of the 2(p-1) eigenspaces are 1 when p is large."""
+    polys, index = [CharPoly(X.p)], {}
+    slots = {0: [0] * (X.p - 1), -1: [0] * (X.p - 1)}
+    for (degree, j), f in X.eigenspaces.items():
+        k = index.get(f.factors)
+        if k is None:
+            k = index[f.factors] = len(polys)
+            polys.append(f)
+        slots[degree][j] = k
+    return polys, slots
 
 
-def invariants_rows(X: FiniteSpectrumData) -> list[tuple]:
-    """One row of strings under INVARIANTS_HEADERS per eigenspace."""
-    return [(str(degree), str(j)) + cells for (degree, j), cells
-            in _shared_cells(X, lambda f: (str(f.degree), str(f.mu), format_charpoly(f)))]
+def invariants_lines(X: FiniteSpectrumData, table: bool) -> str:
+    """The header and one line per eigenspace under INVARIANTS_HEADERS, as a
+    table, or as CSV when table is false.  Each line is its degree and j
+    cells and the tail of its polynomial, the lambda, mu and charpoly cells
+    laid out once per distinct polynomial; the j cells are laid out once
+    for both degrees."""
+    polys, slots = _distinct_charpolys(X)
+    cells = [(str(f.degree), str(f.mu), format_charpoly(f)) for f in polys]
+    if table:
+        # the cells of the constant 1, "0", "0" and "1", are narrower than
+        # the headers, so they set no width whether or not it takes a line
+        widths = [len("degree"), max(len("j"), len(str(X.p - 2)))]
+        widths += [max(len(h), max(len(c[i]) for c in cells))
+                   for i, h in enumerate(INVARIANTS_HEADERS[2:])]
+        header = (_columns(widths) % INVARIANTS_HEADERS).rstrip()
+        # a tail's lambda cell is never blank, so its trailing blanks are the line's
+        tail = _columns(widths[2:])
+        tails = [(tail % c).rstrip() for c in cells]
+        degree_cell, j_cell = (_columns([w]) + _GAP for w in widths[:2])
+    else:
+        header, tails = ",".join(INVARIANTS_HEADERS), [",".join(c) for c in cells]
+        degree_cell = j_cell = "%s,"
+    js = [j_cell % j for j in range(X.p - 1)]
+    out = [header]
+    for degree in (0, -1):
+        lead = degree_cell % degree
+        out += [lead + j + tails[k] for j, k in zip(js, slots[degree])]
+    return "\n".join(out) + "\n"
 
 
 def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
-    """The invariants result as JSON, with a dict per eigenspace, its
-    factors and coefficients included, under "eigenspaces"."""
+    """The invariants result as JSON, one object per eigenspace, its factors
+    and coefficients included, under "eigenspaces"; the values of each
+    distinct polynomial are built, and written, once."""
     window = degree_window(X)
+    polys, slots = _distinct_charpolys(X)
+    cells = [(f.degree, f.mu, [[i, mult] for i, mult in f.factors], format_charpoly(f),
+              coefficients_mod(f, precision)) for f in polys]
     return {
         "name": name,
         "p": int(X.p),
@@ -253,14 +353,8 @@ def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
         "alpha": None if window is None else window[0],
         "beta": None if window is None else window[1],
         "precision": precision,
-        "eigenspaces": [{"degree": degree, "j": j, **cells} for (degree, j), cells
-                        in _shared_cells(X, lambda f: {
-                            "lambda": f.degree,
-                            "mu": f.mu,
-                            "factors": [[i, mult] for i, mult in f.factors],
-                            "charpoly": format_charpoly(f),
-                            "coefficients_mod": coefficients_mod(f, precision),
-                        })],
+        "eigenspaces": JsonRows(INVARIANTS_FIELDS, [
+            (degree, j) + cells[k] for degree in (0, -1) for j, k in enumerate(slots[degree])]),
     }
 
 
@@ -305,12 +399,16 @@ def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int,
 def cmd_invariants(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
     check_invariants_size(args.file, X, args.precision, args.format == "json")
-    window = degree_window(X)
-    shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
-    lead = (f"name: {name or '-'}\np = {int(X.p)}  chi = {euler_characteristic(X)}  "
-            f"total_lambda = {total_lambda(X)}\ndegree window: {shown}")
-    emit(args.format, lambda: invariants_payload(name, X, args.precision), INVARIANTS_HEADERS,
-         lambda: invariants_rows(X), lead)
+    if args.format == "json":
+        sys.stdout.write(render_json(invariants_payload(name, X, args.precision)))
+    elif args.format == "csv":
+        sys.stdout.write(invariants_lines(X, table=False))
+    else:
+        window = degree_window(X)
+        shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
+        sys.stdout.write(f"name: {name or '-'}\np = {int(X.p)}  chi = {euler_characteristic(X)}  "
+                         f"total_lambda = {total_lambda(X)}\ndegree window: {shown}\n"
+                         + invariants_lines(X, table=True))
     return EXIT_OK
 
 
@@ -328,19 +426,15 @@ def imc_rows(report: ImcReport) -> list[tuple]:
 
 
 def imc_payload(name, report: ImcReport) -> dict:
+    """The imc result as JSON, the records written from their tuples."""
     return {
         "name": name,
         "p": int(report.p),
         "alpha": None if report.window is None else report.window[0],
         "beta": None if report.window is None else report.window[1],
-        "records": [{
-            "m": r.m,
-            "side": r.side,
-            "lhs_val": val_json(r.lhs_valuation),
-            "rhs_val": val_json(r.rhs_valuation),
-            "in_window": r.in_window,
-            "match": r.match,
-        } for r in report.records],
+        "records": JsonRows(IMC_HEADERS, [
+            (m, side, val_json(lhs), val_json(rhs), inside, match)
+            for m, side, lhs, rhs, inside, match in report.records]),
         "in_window_mismatches": len(report.in_window_mismatches),
         "ok": report.ok,
     }

@@ -86,8 +86,9 @@ def _inside(window, m: int) -> bool:
 
 
 def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:
-    """Run the comparison for every m in m_range, both sides per m.  The
-    degree window of X is computed once per report."""
+    """Run the comparison for every m in m_range, both sides per m: a record
+    matches when the two valuations have equal values, INFINITE matching
+    INFINITE.  The degree window of X is computed once per report."""
     ms = list(m_range)
     sides = [t for m in ms for t in (2 * m - 1, 2 * m)]
     lhs_values = iter(k1_order_of_dual_replacement(X, sides))
@@ -98,5 +99,5 @@ def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:
         for side, degree in ((2 * m - 1, 0), (2 * m, -1)):
             lhs = next(lhs_values)
             rhs = evaluate_valuation(eigenspace_charpoly(X, (degree, -m)), -m)
-            records.append(ImcRecord(m, side, lhs, rhs, inside, lhs == rhs))
+            records.append(ImcRecord(m, side, lhs, rhs, inside, lhs.value == rhs.value))
     return ImcReport(X.p, window, tuple(records))

@@ -20,11 +20,11 @@ from __future__ import annotations
 from .padic import (
     DEFAULT_PRECISION,
     INFINITE,
-    ZERO,
     Immutable,
     OddPrime,
     PadicValuation,
     _special_exponent,
+    _valuation,
 )
 
 
@@ -62,7 +62,8 @@ class CharPoly(Immutable):
 def evaluate_valuation(f: CharPoly, s: int) -> PadicValuation:
     """nu_p(f((1+p)^s - 1)), factor-wise: the factor at i vanishes when
     s = i (INFINITE), otherwise contributes (1 + nu_p(s - i)) * multiplicity.
-    The exponents are summed as ints and wrapped once."""
+    The exponents are summed as ints and wrapped once, small totals into
+    shared instances."""
     if not isinstance(s, int) or isinstance(s, bool):
         raise TypeError(f"evaluation point index must be an int, got {type(s).__name__}")
     total = 0
@@ -70,7 +71,7 @@ def evaluate_valuation(f: CharPoly, s: int) -> PadicValuation:
         if s == i:
             return INFINITE
         total += _special_exponent(f.p, s - i) * mult
-    return PadicValuation(total) if total else ZERO
+    return _valuation(total)
 
 
 def coefficients_mod(f: CharPoly, precision: int = DEFAULT_PRECISION) -> list[int]:

@@ -10,8 +10,12 @@ For a torsion-free wedge of cells the localized homotopy in each degree is
 the direct sum over cells, so orders multiply: exponents add, scaled by the
 rank of each cell.  One infinite summand makes the whole degree infinite.
 A cell d contributes to degree t only when t - d lies on the sphere's
-support (t - d = 0, or 2(p-1) divides t - d + 1), so wedge_order looks up
-no other cell.
+support: a Zp-hat when d is t or t + 1, and a cyclic group when 2(p-1)
+divides t - d + 1.  So wedge_order looks up those two degrees, and then
+only the cells at residue (t + 1) mod 2(p-1) in the spectrum's
+cells_by_residue index: O(cells / (p-1) + 1) per degree when the cells
+spread over the residues.  Small exponent sums come back as shared
+instances.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .padic import (
     OddPrime,
     PadicValuation,
     _special_exponent,
+    _valuation,
     one_plus_p_pow_minus_one_valuation,
 )
 from .spectra import FiniteSpectrumData, dual, strip_torsion
@@ -66,24 +71,21 @@ def sphere_order(p, t: int) -> PadicValuation:
 
 def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
     """Exponent of |pi_t| of the K(1)-localization of torsion-free X: the sum
-    over cells d of rank * sphere_order(p, t - d), taken over the cells with
-    t - d on the sphere's support only.  The exponents are summed as ints
-    and wrapped once; the first INFINITE cell decides the degree."""
+    over cells d of rank * sphere_order(p, t - d).  INFINITE when a cell sits
+    at t or t + 1; otherwise only the cells at residue (t + 1) mod 2(p-1)
+    are read, each a special degree t - d = 2(p-1)k - 1 with k != 0.  The
+    exponents are summed as ints and wrapped once."""
     _refuse_torsion(X)
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError(f"degree must be an int, got {type(t).__name__}")
+    if t in X.betti or t + 1 in X.betti:
+        return INFINITE
     p = X.p
     period = 2 * (p - 1)
     total = 0
-    for d, r in X.betti.items():
-        if (t - d + 1) % period and d != t:
-            continue
-        m = _special_index(p, t - d)
-        if m is None:
-            return INFINITE
-        # on the support m is never 0: t - d is 0, -1 or a special degree
-        total += _special_exponent(p, m) * r
-    return PadicValuation(total) if total else ZERO
+    for d, r in X.cells_by_residue.get((t + 1) % period, ()):
+        total += _special_exponent(p, (t + 1 - d) // period) * r
+    return _valuation(total)
 
 
 def k1_order_of_dual_replacement(X: FiniteSpectrumData, degrees) -> list[PadicValuation]:

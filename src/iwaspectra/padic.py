@@ -134,7 +134,11 @@ class PadicValuation(Immutable):
 
 INFINITE = PadicValuation(math.inf)
 
-ZERO = PadicValuation(0)
+# the valuations 0 .. 63, built once: the exponent sums of a comparison are
+# mostly a few units, so most of them need no new instance
+_SMALL = tuple(PadicValuation(v) for v in range(64))
+
+ZERO = _SMALL[0]
 
 
 def one_plus_p_pow_minus_one_valuation(p, n) -> PadicValuation:
@@ -148,14 +152,21 @@ def one_plus_p_pow_minus_one_valuation(p, n) -> PadicValuation:
         raise TypeError(f"exponent must be an int, got {type(n).__name__}")
     if n == 0:
         raise ZeroInput("(1+p)^0 - 1 = 0 has no finite valuation")
-    return PadicValuation(_special_exponent(p, n))
+    return _valuation(_special_exponent(p, n))
+
+
+def _valuation(total: int) -> PadicValuation:
+    """PadicValuation(total), a shared instance when total is small: how
+    every exponent sum in the package is wrapped.  A negative total still
+    fails validation."""
+    return _SMALL[total] if 0 <= total < len(_SMALL) else PadicValuation(total)
 
 
 def _special_exponent(p: int, n: int) -> int:
     """1 + nu_p(n), which is nu_p((1+p)^n - 1), as a plain int, for a
     checked prime p and a nonzero int n.  The int kernel behind
     one_plus_p_pow_minus_one_valuation, for callers that sum many of these
-    exponents and wrap the total once."""
+    exponents and wrap the total once, through _valuation."""
     n, v = abs(n), 1
     while n % p == 0:
         n //= p

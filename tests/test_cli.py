@@ -402,6 +402,47 @@ class TestRenderCsv:
             "m,lhs\n-1,inf\n0,\n")
 
 
+# any unicode string: controls, non-ASCII, astral characters and lone surrogates
+any_text = st.text(st.characters(exclude_categories=())
+                   | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), max_size=8)
+json_scalars = (any_text | st.booleans() | st.none() | st.integers()
+                | st.integers(2 ** 64, 2 ** 200) | st.integers(-2 ** 200, -2 ** 64))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(any_text, inner, max_size=4)),
+    max_leaves=12)
+
+
+class TestRenderJson:
+    """render_json against the json module's indent-2 encoder."""
+
+    @given(value=json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert cli.render_json(value) == json.dumps(value, indent=2) + "\n"
+
+    @given(data=st.data(), head=json_values,
+           fields=st.lists(any_text | st.sampled_from(["%", "%s", "a%%b"]), min_size=1,
+                           max_size=4, unique=True))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_a_list_of_dicts(self, data, fields, head):
+        # cells come from a small pool, so rows share objects, as the
+        # invariants rows of one polynomial do
+        pool = data.draw(st.lists(json_values, min_size=1, max_size=3))
+        cells = st.sampled_from(pool) | st.integers()
+        rows = data.draw(st.lists(st.tuples(*[cells] * len(fields)), max_size=6))
+        dicts = [dict(zip(fields, row)) for row in rows]
+        for wrap in (lambda v: {"head": head, "rows": v}, lambda v: [head, [v]]):
+            assert (cli.render_json(wrap(cli.JsonRows(fields, rows)))
+                    == json.dumps(wrap(dicts), indent=2) + "\n")
+
+    def test_other_types_are_refused(self):
+        for value in (1.5, {"x": {1, 2}}, [b"x"]):
+            with pytest.raises(TypeError):
+                cli.render_json(value)
+
+
 class TestFailureModes:
     def test_malformed_json_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -510,7 +551,7 @@ class TestFailureModes:
             raise AssertionError("an oversized cell reached the computation")
 
         monkeypatch.setattr(cli, "invariants_payload", never)
-        monkeypatch.setattr(cli, "invariants_rows", never)
+        monkeypatch.setattr(cli, "invariants_lines", never)
         for degree in ("14285", "-14286", "16000", "200000000", "9" * 4000, "9" * 4300):
             path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": 1, degree: 1}})
             code, out, err = run(capsys, "invariants", path, "--format", fmt)
@@ -528,7 +569,7 @@ class TestFailureModes:
             raise AssertionError("an unprintable lambda reached the computation")
 
         monkeypatch.setattr(cli, "invariants_payload", never)
-        monkeypatch.setattr(cli, "invariants_rows", never)
+        monkeypatch.setattr(cli, "invariants_lines", never)
         for betti in ({"0": big, "4": big}, {"0": big, "2": big}, {"-1": big, "1": big}):
             path = write_spectrum(tmp_path, {"p": 3, "betti": betti})
             code, out, err = run(capsys, "invariants", path, "--format", fmt)
@@ -628,7 +669,7 @@ class TestFailureModes:
             raise AssertionError("an oversized precision reached the computation")
 
         monkeypatch.setattr(cli, "invariants_payload", never)
-        monkeypatch.setattr(cli, "invariants_rows", never)
+        monkeypatch.setattr(cli, "invariants_lines", never)
         for argv in (["--precision", "5089"], ["--precision", "9" * 4000],
                      ["--prime-override", "10007", "--precision", "1100"]):
             code, out, err = run(capsys, "invariants", spec, *argv, "--format", fmt)
@@ -646,7 +687,7 @@ class TestFailureModes:
             raise AssertionError("an invariants call past the row cap built its rows")
 
         monkeypatch.setattr(cli, "invariants_payload", never)
-        monkeypatch.setattr(cli, "invariants_rows", never)
+        monkeypatch.setattr(cli, "invariants_lines", never)
         for p in ("100003", "1000000000039"):
             code, out, err = run(capsys, "invariants", str(CORPUS / "cp2_p5.json"),
                                  "--prime-override", p, "--format", fmt)
@@ -693,11 +734,11 @@ class TestFailureModes:
 
 
 class TestStartCost:
-    def test_import_skips_dataclasses_inspect_and_typing(self):
+    def test_import_skips_dataclasses_inspect_typing_and_fractions(self):
         # -S keeps site-packages .pth files, which may import typing
         # themselves, from hiding a module the package pulls in
-        code = ("import sys, iwaspectra.cli; "
-                "print(sorted({'csv', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+        code = ("import sys, iwaspectra.cli; print(sorted({'csv', 'dataclasses', 'decimal', "
+                "'fractions', 'inspect', 'typing'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                               timeout=60)
@@ -821,10 +862,11 @@ class TestBenchReferences:
 # ------------------------------------------------- the dict-then-emit route
 
 def emit_dicts(fmt, payload, records, headers, lead) -> str:
-    """The output route as it was written first: one dict per record, and
-    every cell through an isinstance test and str (booleans as true/false)."""
+    """The output route as it was written first: one dict per record, every
+    cell through an isinstance test and str (booleans as true/false), and
+    JSON through the json module."""
     if fmt == "json":
-        return cli.render_json(payload)
+        return json.dumps(payload, indent=2) + "\n"
     rows = [[str(r[h]).lower() if isinstance(r[h], bool) else str(r[h]) for h in headers]
             for r in records]
     if fmt == "csv":

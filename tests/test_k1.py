@@ -113,7 +113,7 @@ class TestWedgeOrder:
                 expected = math.inf if math.inf in (e, expected) else expected + r * e
             assert wedge_order(X, t).value == expected
 
-    @given(data=st.data(), p=st.sampled_from([3, 5, 7, 11, 101]),
+    @given(data=st.data(), p=st.sampled_from([3, 5, 7, 11, 101, 10007]),
            betti=st.dictionaries(st.integers(-40, 40), st.integers(1, 4), max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_support_skip_equals_full_scan(self, data, p, betti):
