@@ -20,6 +20,7 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 
 from .asymptotics import LambdaZero, default_skip, graded_average, growth_ratio, ladder
@@ -203,14 +204,9 @@ def render_csv(headers, rows) -> str:
     return "".join(",".join(r) + "\n" for r in (headers, *rows))
 
 
-class JsonRows:
-    """A JSON list of objects with the same keys, fields, in that order:
-    each row is the tuple of one object's values."""
-
-    __slots__ = ("fields", "rows")
-
-    def __init__(self, fields, rows):
-        self.fields, self.rows = fields, rows
+# A JSON list of objects with the same keys, fields, in that order: rows is
+# a list with the tuple of each object's values.
+JsonRows = namedtuple("JsonRows", ["fields", "rows"])
 
 
 def render_json(payload) -> str:
@@ -230,9 +226,9 @@ def _json(value, indent: str) -> str:
         return _JSON_CONSTANTS[value]
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = indent + "  "
     if isinstance(value, JsonRows):
         return _json_rows(value, indent) if value.rows else "[]"
+    inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"

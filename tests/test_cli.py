@@ -734,7 +734,7 @@ class TestFailureModes:
 
 
 class TestStartCost:
-    def test_import_skips_dataclasses_inspect_typing_and_fractions(self):
+    def test_import_skips_dataclasses_inspect_and_typing(self):
         # -S keeps site-packages .pth files, which may import typing
         # themselves, from hiding a module the package pulls in
         code = ("import sys, iwaspectra.cli; print(sorted({'csv', 'dataclasses', 'decimal', "
