@@ -10,6 +10,14 @@ growth call that would print an integer of more than MAX_DIGITS digits, on
 an invariants call past 2(MAX_RANGE + 1) rows, on a JSON invariants call
 past MAX_EXPANSION and on a growth ratio past the float range, 3 on an
 invalid prime.
+
+Every subcommand builds one Result: the lead line(s) of its table and its
+JSON payload, which holds one Rows.  A row is its key, the int cells that
+print the same in every format (m, side / degree, j / k, n / t), and the
+index of a shared tail holding the rest of its values: an imc call has a
+few dozen distinct tails, an invariants call one per distinct polynomial.
+emit writes a Result through render_table, render_csv or render_json, and
+each lays out every distinct key cell and every distinct tail once.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .asymptotics import LambdaZero, default_skip, graded_average, growth_ratio, ladder
 from .iwalg import CharPoly, coefficients_mod, format_charpoly
 from .k1 import sphere_order
-from .padic import DEFAULT_PRECISION, NotAnOddPrime, OddPrime, PadicValuation
+from .padic import DEFAULT_PRECISION, NotAnOddPrime, OddPrime
 from .spectra import (
     FiniteSpectrumData,
     degree_window,
@@ -34,7 +42,7 @@ from .spectra import (
     strip_torsion,
     total_lambda,
 )
-from .imc import ImcReport, verify_weak_imc
+from .imc import verify_weak_imc
 
 FORMAT_ENV_VAR = "IWASPECTRA_FORMAT"
 FORMATS = ("table", "csv", "json")
@@ -172,8 +180,28 @@ def load_spectrum_file(path: str, prime_override=None):
 
 # ---------------------------------------------------------------- rendering
 
-def val_json(v: PadicValuation):
-    return v.value if v.is_finite else "inf"
+class Rows(namedtuple("Rows", ["fields", "keys", "tails", "index", "json_only"],
+                      defaults=((),))):
+    """The rows of a result, each its key and a shared tail.  fields names
+    the values of a row in order, the key fields and then the tail fields,
+    of which there is at least one.  keys holds one sequence of ints per key
+    field, a value per row; tails holds the distinct tails, tuples of JSON
+    values; index is a sequence of the position in tails of each row's
+    tail.  Table and CSV print every field not in json_only: an int or bool
+    as JSON writes it, a str as it is.  A tail that no row uses prints no
+    cell wider than its field's name."""
+
+    __slots__ = ()
+
+
+# what a subcommand prints: the lead line(s) of its table, and its JSON
+# payload, a dict whose one Rows value is what table and CSV print
+Result = namedtuple("Result", ["lead", "payload"])
+
+
+def val_json(value):
+    """A valuation's value as the output holds it: the int, or "inf"."""
+    return "inf" if value == math.inf else value
 
 
 _GAP = "  "
@@ -186,36 +214,59 @@ def _columns(widths) -> str:
     return _GAP.join(f"%-{w}s" for w in widths)
 
 
-def render_table(headers, rows) -> str:
+def _printed(rows: Rows):
+    """(headers, cells): the names of the fields that table and CSV print,
+    and the printed tail cells of each tail."""
+    nk = len(rows.keys)
+    shown = [i for i, f in enumerate(rows.fields[nk:]) if f not in rows.json_only]
+    cells = [tuple(t[i] if t[i].__class__ is str else _json(t[i], "") for i in shown)
+             for t in rows.tails]
+    return tuple(rows.fields[:nk]) + tuple(rows.fields[nk + i] for i in shown), cells
+
+
+def _lines(header: str, key_formats, tails, rows: Rows, strip: bool = False) -> str:
+    """header and one line per row: its key cells, each of key_formats
+    applied once per distinct value of its column, then its tail's text
+    from tails; strip cuts the trailing blanks of every line."""
+    columns = []
+    for fmt, column in zip(key_formats, rows.keys):
+        cells = {v: fmt % v for v in set(column)}
+        columns.append(map(cells.__getitem__, column))
+    lines = map("".join, zip(*columns, map(tails.__getitem__, rows.index)))
+    return "\n".join([header, *(map(str.rstrip, lines) if strip else lines)]) + "\n"
+
+
+def render_table(rows: Rows) -> str:
     """Columns left-justified to their widest cell, two spaces apart, with
     trailing blanks cut from every line."""
-    widths = [max(len(h), max((len(r[i]) for r in rows), default=0))
-              for i, h in enumerate(headers)]
-    line = _columns(widths)
-    out = [(line % tuple(headers)).rstrip()]
-    out += [(line % tuple(r)).rstrip() for r in rows]
-    return "\n".join(out) + "\n"
+    headers, cells = _printed(rows)
+    nk = len(rows.keys)
+    # the longest decimal of a column of ints is its least or its greatest
+    widths = [max(len(h), *(len("%d" % end(c)) for end in (min, max))) if c else len(h)
+              for h, c in zip(headers, rows.keys)]
+    widths += [max(len(h), max((len(c[i]) for c in cells), default=0))
+               for i, h in enumerate(headers[nk:])]
+    tail = _columns(widths[nk:])
+    tails = [(tail % c).rstrip() for c in cells]
+    # a blank tail leaves the padding of the key cells at the end of its line
+    return _lines((_columns(widths) % headers).rstrip(), [f"%-{w}d{_GAP}" for w in widths[:nk]],
+                  tails, rows, strip=nk > 0 and not all(tails))
 
 
-def render_csv(headers, rows) -> str:
+def render_csv(rows: Rows) -> str:
     """Cells joined by commas, unquoted: no cell the CLI prints (integers,
     inf, true/false, charpolys, fractions, ratios) holds a comma, a quote
     or a line break."""
-    return "".join(",".join(r) + "\n" for r in (headers, *rows))
-
-
-# A JSON list of objects with the same keys, fields, in that order: rows is
-# a list with the tuple of each object's values.
-JsonRows = namedtuple("JsonRows", ["fields", "rows"])
+    headers, cells = _printed(rows)
+    return _lines(",".join(headers), ["%d,"] * len(rows.keys), [",".join(c) for c in cells], rows)
 
 
 def render_json(payload) -> str:
-    """json.dumps(payload, indent=2) + "\n", byte for byte.  payload is
-    built from dicts with str keys, lists, tuples, str, int (bool included)
-    and None, and JsonRows; any other type is a TypeError.  Strings are
-    escaped to ASCII by the json module's C encoder.  A JsonRows is written
-    through one template built from its fields, and each value in its rows
-    that is not an int is encoded once however many rows hold that object."""
+    """json.dumps(payload, indent=2) + "\n", byte for byte, a Rows written as
+    the list of its rows' objects.  payload is built from dicts with str
+    keys, lists, tuples, str, int (bool included), None and Rows; any other
+    type is a TypeError.  Strings are escaped to ASCII by the json module's
+    C encoder."""
     return _json(payload, "") + "\n"
 
 
@@ -226,8 +277,8 @@ def _json(value, indent: str) -> str:
         return _JSON_CONSTANTS[value]
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, JsonRows):
-        return _json_rows(value, indent) if value.rows else "[]"
+    if isinstance(value, Rows):
+        return _json_rows(value, indent) if value.index else "[]"
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -244,114 +295,32 @@ def _json(value, indent: str) -> str:
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_rows(table: JsonRows, indent: str) -> str:
+def _json_rows(rows: Rows, indent: str) -> str:
+    """The objects of rows through one template, their key values put in
+    and each distinct tail written once."""
     inner, cell = indent + "  ", indent + "    "
-    keys = ",\n".join(f"{cell}{_quote(f).replace('%', '%%')}: %s" for f in table.fields)
-    template = f"{inner}{{\n{keys}\n{inner}}}"
-    shared = {}  # id -> (value, text): the value is kept, so its id stays its own
-
-    def text(v):
-        if v.__class__ is int:
-            return v  # %s writes an int as JSON does
-        known = shared.get(id(v))
-        if known is None:
-            known = shared[id(v)] = (v, _json(v, cell))
-        return known[1]
-
-    return ("[\n" + ",\n".join(template % tuple(map(text, row)) for row in table.rows)
-            + "\n" + indent + "]")
+    nk = len(rows.keys)
+    keys = "".join(f"{cell}{_quote(f).replace('%', '%%')}: %d,\n" for f in rows.fields[:nk])
+    template = f"{inner}{{\n{keys}%s\n{inner}}}"
+    tails = [",\n".join(f"{cell}{_quote(f)}: {_json(v, cell)}"
+                        for f, v in zip(rows.fields[nk:], t)) for t in rows.tails]
+    objects = map(template.__mod__, zip(*rows.keys, map(tails.__getitem__, rows.index)))
+    return "[\n" + ",\n".join(objects) + "\n" + indent + "]"
 
 
-def emit(fmt, payload, headers, rows, lead) -> None:
-    """Write one result to stdout: payload() as JSON, or rows(), tuples of
-    strings under headers, as CSV or as a table under the lead line(s).
-    Only the builder that the format prints is called."""
+def emit(fmt: str, result: Result) -> None:
+    """Write a result to stdout: its payload as JSON, or its rows as CSV or
+    as a table under its lead line(s)."""
     if fmt == "json":
-        sys.stdout.write(render_json(payload()))
-    elif fmt == "csv":
-        sys.stdout.write(render_csv(headers, rows()))
-    else:
-        sys.stdout.write(lead + "\n" + render_table(headers, rows()))
-
-
-def str_rows(records, headers) -> list[tuple]:
-    """Table and CSV rows of dict records whose values print as str."""
-    return [tuple(str(r[h]) for h in headers) for r in records]
+        sys.stdout.write(render_json(result.payload))
+        return
+    rows = next(v for v in result.payload.values() if isinstance(v, Rows))
+    sys.stdout.write(render_csv(rows) if fmt == "csv" else result.lead + "\n" + render_table(rows))
 
 
 # ------------------------------------------------------------- subcommands
 
-INVARIANTS_HEADERS = ("degree", "j", "lambda", "mu", "charpoly")
 INVARIANTS_FIELDS = ("degree", "j", "lambda", "mu", "factors", "charpoly", "coefficients_mod")
-
-
-def _distinct_charpolys(X: FiniteSpectrumData):
-    """(polys, slots): the distinct eigenspace polynomials of X, the constant
-    1 first, and for degree 0 and for degree -1 the index into polys of the
-    polynomial of each weight j in [0, p-2].  Read from the sparse
-    eigenspace map, so every zero eigenspace points at the constant 1, and
-    each cell of the output is formatted once per distinct polynomial:
-    most of the 2(p-1) eigenspaces are 1 when p is large."""
-    polys, index = [CharPoly(X.p)], {}
-    slots = {0: [0] * (X.p - 1), -1: [0] * (X.p - 1)}
-    for (degree, j), f in X.eigenspaces.items():
-        k = index.get(f.factors)
-        if k is None:
-            k = index[f.factors] = len(polys)
-            polys.append(f)
-        slots[degree][j] = k
-    return polys, slots
-
-
-def invariants_lines(X: FiniteSpectrumData, table: bool) -> str:
-    """The header and one line per eigenspace under INVARIANTS_HEADERS, as a
-    table, or as CSV when table is false.  Each line is its degree and j
-    cells and the tail of its polynomial, the lambda, mu and charpoly cells
-    laid out once per distinct polynomial; the j cells are laid out once
-    for both degrees."""
-    polys, slots = _distinct_charpolys(X)
-    cells = [(str(f.degree), str(f.mu), format_charpoly(f)) for f in polys]
-    if table:
-        # the cells of the constant 1, "0", "0" and "1", are narrower than
-        # the headers, so they set no width whether or not it takes a line
-        widths = [len("degree"), max(len("j"), len(str(X.p - 2)))]
-        widths += [max(len(h), max(len(c[i]) for c in cells))
-                   for i, h in enumerate(INVARIANTS_HEADERS[2:])]
-        header = (_columns(widths) % INVARIANTS_HEADERS).rstrip()
-        # a tail's lambda cell is never blank, so its trailing blanks are the line's
-        tail = _columns(widths[2:])
-        tails = [(tail % c).rstrip() for c in cells]
-        degree_cell, j_cell = (_columns([w]) + _GAP for w in widths[:2])
-    else:
-        header, tails = ",".join(INVARIANTS_HEADERS), [",".join(c) for c in cells]
-        degree_cell = j_cell = "%s,"
-    js = [j_cell % j for j in range(X.p - 1)]
-    out = [header]
-    for degree in (0, -1):
-        lead = degree_cell % degree
-        out += [lead + j + tails[k] for j, k in zip(js, slots[degree])]
-    return "\n".join(out) + "\n"
-
-
-def invariants_payload(name, X: FiniteSpectrumData, precision: int) -> dict:
-    """The invariants result as JSON, one object per eigenspace, its factors
-    and coefficients included, under "eigenspaces"; the values of each
-    distinct polynomial are built, and written, once."""
-    window = degree_window(X)
-    polys, slots = _distinct_charpolys(X)
-    cells = [(f.degree, f.mu, [[i, mult] for i, mult in f.factors], format_charpoly(f),
-              coefficients_mod(f, precision)) for f in polys]
-    return {
-        "name": name,
-        "p": int(X.p),
-        "chi": euler_characteristic(X),
-        "total_lambda": total_lambda(X),
-        "alpha": None if window is None else window[0],
-        "beta": None if window is None else window[1],
-        "precision": precision,
-        "eigenspaces": JsonRows(INVARIANTS_FIELDS, [
-            (degree, j) + cells[k] for degree in (0, -1) for j, k in enumerate(slots[degree])]),
-    }
 
 
 def _digits_above_cap(base: int, exponent: int) -> bool:
@@ -394,46 +363,39 @@ def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int,
 
 def cmd_invariants(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
-    check_invariants_size(args.file, X, args.precision, args.format == "json")
-    if args.format == "json":
-        sys.stdout.write(render_json(invariants_payload(name, X, args.precision)))
-    elif args.format == "csv":
-        sys.stdout.write(invariants_lines(X, table=False))
-    else:
-        window = degree_window(X)
-        shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
-        sys.stdout.write(f"name: {name or '-'}\np = {int(X.p)}  chi = {euler_characteristic(X)}  "
-                         f"total_lambda = {total_lambda(X)}\ndegree window: {shown}\n"
-                         + invariants_lines(X, table=True))
+    expand = args.format == "json"
+    check_invariants_size(args.file, X, args.precision, expand)
+    # one tail per distinct eigenspace polynomial, the constant 1 first, read
+    # from the sparse eigenspace map: most of the 2(p-1) rows are 1 when p is
+    # large.  The cells of the constant 1, 0, 0 and "1", are narrower than
+    # the headers, so they set no width whether or not a row takes them.
+    p, polys, known = int(X.p), [CharPoly(X.p)], {}
+    index = [0] * (2 * (p - 1))  # degree 0, then degree -1, each j in [0, p-2]
+    for (degree, j), f in X.eigenspaces.items():
+        k = known.get(f.factors)
+        if k is None:
+            k = known[f.factors] = len(polys)
+            polys.append(f)
+        index[j - degree * (p - 1)] = k
+    tails = [(f.degree, f.mu, [[i, mult] for i, mult in f.factors], format_charpoly(f),
+              coefficients_mod(f, args.precision) if expand else None) for f in polys]
+    window = degree_window(X)
+    chi, lam = euler_characteristic(X), total_lambda(X)
+    shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
+    emit(args.format, Result(
+        f"name: {name or '-'}\np = {p}  chi = {chi}  total_lambda = {lam}\n"
+        f"degree window: {shown}",
+        {"name": name, "p": p, "chi": chi, "total_lambda": lam,
+         "alpha": None if window is None else window[0],
+         "beta": None if window is None else window[1],
+         "precision": args.precision,
+         "eigenspaces": Rows(INVARIANTS_FIELDS, ([0] * (p - 1) + [-1] * (p - 1),
+                                                 [*range(p - 1)] * 2),
+                             tails, index, ("factors", "coefficients_mod"))}))
     return EXIT_OK
 
 
-IMC_HEADERS = ("m", "side", "lhs_val", "rhs_val", "in_window", "match")
-
-# booleans print as true/false in table and CSV rows, as in JSON
-_FLAG = {False: "false", True: "true"}
-
-
-def imc_rows(report: ImcReport) -> list[tuple]:
-    """One row of strings under IMC_HEADERS per record.  A valuation prints
-    its value, and str(math.inf) is "inf"."""
-    return [(str(m), str(side), str(lhs.value), str(rhs.value), _FLAG[inside], _FLAG[match])
-            for m, side, lhs, rhs, inside, match in report.records]
-
-
-def imc_payload(name, report: ImcReport) -> dict:
-    """The imc result as JSON, the records written from their tuples."""
-    return {
-        "name": name,
-        "p": int(report.p),
-        "alpha": None if report.window is None else report.window[0],
-        "beta": None if report.window is None else report.window[1],
-        "records": JsonRows(IMC_HEADERS, [
-            (m, side, val_json(lhs), val_json(rhs), inside, match)
-            for m, side, lhs, rhs, inside, match in report.records]),
-        "in_window_mismatches": len(report.in_window_mismatches),
-        "ok": report.ok,
-    }
+IMC_FIELDS = ("m", "side", "lhs_val", "rhs_val", "in_window", "match")
 
 
 def check_imc_size(path: str, X: FiniteSpectrumData, a: int, b: int) -> None:
@@ -457,10 +419,20 @@ def cmd_imc(args) -> int:
     a, b = args.m_range
     check_imc_size(args.file, X, a, b)
     report = verify_weak_imc(X, range(a, b + 1))
-    lead = (f"p = {int(report.p)}  m in [{a}, {b}]  "
-            f"in-window mismatches: {len(report.in_window_mismatches)}")
-    emit(args.format, lambda: imc_payload(name, report), IMC_HEADERS,
-         lambda: imc_rows(report), lead)
+    ms, sides, lhs, rhs, inside, match = zip(*report.records)
+    # a few distinct (lhs_val, rhs_val, in_window, match) tails over all records
+    known = {}
+    index = [known.setdefault(tail, len(known)) for tail in
+             zip([v.value for v in lhs], [v.value for v in rhs], inside, match)]
+    tails = [(val_json(u), val_json(v), i, m) for u, v, i, m in known]
+    mismatches = len(report.in_window_mismatches)
+    emit(args.format, Result(
+        f"p = {int(report.p)}  m in [{a}, {b}]  in-window mismatches: {mismatches}",
+        {"name": name, "p": int(report.p),
+         "alpha": None if report.window is None else report.window[0],
+         "beta": None if report.window is None else report.window[1],
+         "records": Rows(IMC_FIELDS, (ms, sides), tails, index),
+         "in_window_mismatches": mismatches, "ok": report.ok}))
     return EXIT_OK if report.ok else EXIT_FAILED
 
 
@@ -505,10 +477,10 @@ def cmd_growth(args) -> int:
     skip = default_skip(X) + args.skip
     lengths = ladder(X.p, args.ladder)
     check_growth_size(args.file, X, lam, skip, lengths, not args.average_only)
-    records = []
+    tails = []
     for k, n in enumerate(lengths):
         average = graded_average(X, skip, n)
-        record = {"k": k, "n": n, "skip": skip, "average": str(average.value)}
+        tail = (skip, str(average.value))
         if not args.average_only:
             try:
                 ratio = growth_ratio(average, lam, X.p)
@@ -517,28 +489,25 @@ def cmd_growth(args) -> int:
                 # special degree of high valuation
                 raise OutputTooLarge(f"{args.file}: the average at rung {k} is too large "
                                      "for a float ratio; rerun with --average-only")
-            record["ratio"] = f"{ratio:.6f}"
-        records.append(record)
-    headers = ("k", "n", "average") + (() if args.average_only else ("ratio",))
-    lead = f"p = {int(X.p)}  total_lambda = {lam}  skip = {skip}"
-    emit(args.format,
-         lambda: {"name": name, "p": int(X.p), "total_lambda": lam, "skip": skip,
-                  "rows": records},
-         headers, lambda: str_rows(records, headers), lead)
+            tail += (f"{ratio:.6f}",)
+        tails.append(tail)
+    fields = ("k", "n", "skip", "average") + (() if args.average_only else ("ratio",))
+    emit(args.format, Result(
+        f"p = {int(X.p)}  total_lambda = {lam}  skip = {skip}",
+        {"name": name, "p": int(X.p), "total_lambda": lam, "skip": skip,
+         "rows": Rows(fields, (range(len(lengths)), lengths), tails, range(len(tails)),
+                      ("skip",))}))
     return EXIT_OK
 
 
 def cmd_sphere_table(args) -> int:
     p = OddPrime(args.prime)
     a, b = args.t_range
-    records = []
-    for t in range(a, b + 1):
-        e = sphere_order(p, t)
-        order = str(p ** e.value) if e.is_finite else "inf"
-        records.append({"t": t, "exponent": val_json(e), "order": order})
-    headers = ("t", "exponent", "order")
-    emit(args.format, lambda: {"p": int(p), "rows": records}, headers,
-         lambda: str_rows(records, headers), f"p = {int(p)}")
+    known = {}  # exponent -> tail position: a few over the whole range
+    index = [known.setdefault(sphere_order(p, t).value, len(known)) for t in range(a, b + 1)]
+    tails = [(val_json(e), "inf" if e == math.inf else str(p ** e)) for e in known]
+    emit(args.format, Result(f"p = {int(p)}", {
+        "p": int(p), "rows": Rows(("t", "exponent", "order"), (range(a, b + 1),), tails, index)}))
     return EXIT_OK
 
 

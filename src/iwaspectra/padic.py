@@ -150,8 +150,6 @@ def one_plus_p_pow_minus_one_valuation(p, n) -> PadicValuation:
     p = OddPrime(p)
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"exponent must be an int, got {type(n).__name__}")
-    if n == 0:
-        raise ZeroInput("(1+p)^0 - 1 = 0 has no finite valuation")
     return _valuation(_special_exponent(p, n))
 
 
@@ -164,9 +162,12 @@ def _valuation(total: int) -> PadicValuation:
 
 def _special_exponent(p: int, n: int) -> int:
     """1 + nu_p(n), which is nu_p((1+p)^n - 1), as a plain int, for a
-    checked prime p and a nonzero int n.  The int kernel behind
+    checked prime p and a nonzero int n; ZeroInput for n = 0, which has no
+    finite valuation.  The int kernel behind
     one_plus_p_pow_minus_one_valuation, for callers that sum many of these
     exponents and wrap the total once, through _valuation."""
+    if n == 0:
+        raise ZeroInput("(1+p)^0 - 1 = 0 has no finite valuation")
     n, v = abs(n), 1
     while n % p == 0:
         n //= p

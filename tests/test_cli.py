@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 import iwaspectra.asymptotics as asymptotics
 import iwaspectra.cli as cli
+from iwaspectra.asymptotics import default_skip, graded_average, growth_ratio, ladder
 from iwaspectra.imc import ImcRecord, ImcReport, verify_weak_imc
 from iwaspectra.iwalg import coefficients_mod, format_charpoly
+from iwaspectra.k1 import sphere_order
 from iwaspectra.padic import INFINITE, PadicValuation
 from iwaspectra.spectra import (
     FiniteSpectrumData,
@@ -28,6 +30,7 @@ from iwaspectra.spectra import (
     eigenspace_charpoly,
     eigenspace_keys,
     euler_characteristic,
+    strip_torsion,
     total_lambda,
 )
 
@@ -352,6 +355,30 @@ def render_table_ljust(headers, rows) -> str:
 ascii_cells = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
 
 
+@st.composite
+def keyed_rows(draw, headers, cells):
+    """(Rows, text rows): Rows under headers whose first columns are int keys
+    and whose other columns, one or more, come from a few shared tails of
+    cells; and each of its rows as the list of the cells it prints."""
+    nk = draw(st.integers(0, len(headers) - 1))
+    n = draw(st.integers(0, 40))
+    keys = [draw(st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([0, 7]),
+                          min_size=n, max_size=n)) for _ in range(nk)]
+    tails = draw(st.lists(st.tuples(*[cells] * (len(headers) - nk)), min_size=1, max_size=5))
+    index = draw(st.lists(st.integers(0, len(tails) - 1), min_size=n, max_size=n))
+    # a tail that no row uses must print no cell wider than its field's name
+    tails = [t if k in index else tuple(c[:len(h)] if isinstance(c, str) else c
+                                        for c, h in zip(t, headers[nk:]))
+             for k, t in enumerate(tails)]
+    text = [[str(col[r]) for col in keys] + list(tails[index[r]]) for r in range(n)]
+    return cli.Rows(tuple(headers), tuple(keys), tails, index), text
+
+
+def tail_rows(headers, rows):
+    """Rows with no key: every row its own tail."""
+    return cli.Rows(tuple(headers), (), [tuple(r) for r in rows], range(len(rows)))
+
+
 class TestRenderTable:
     @given(data=st.data(), headers=st.lists(st.text(st.characters(min_codepoint=32,
                                                                   max_codepoint=126),
@@ -360,14 +387,16 @@ class TestRenderTable:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_ljust_renderer(self, data, headers):
         # cells run from empty to twice the longest header, spaces and '%' included
-        rows = data.draw(st.lists(st.lists(ascii_cells, min_size=len(headers),
-                                           max_size=len(headers)), max_size=50))
-        assert cli.render_table(headers, rows) == render_table_ljust(headers, rows)
+        rows, text = data.draw(keyed_rows(headers, ascii_cells))
+        assert cli.render_table(rows) == render_table_ljust(headers, text)
 
     def test_contract_examples(self):
-        assert cli.render_table(["a", "bb"], []) == "a  bb\n"
-        assert cli.render_table(["a", "b"], [["xyz", ""], ["", "%s"]]) == (
+        assert cli.render_table(tail_rows(["a", "bb"], [])) == "a  bb\n"
+        assert cli.render_table(tail_rows(["a", "b"], [["xyz", ""], ["", "%s"]])) == (
             "a    b\nxyz\n     %s\n")
+        # a blank tail cuts the padding of the key cells before it
+        assert cli.render_table(cli.Rows(("k", "v"), ([100, 5],), [("x",), ("",)], [0, 1])) == (
+            "k    v\n100  x\n5\n")
 
 
 def render_csv_writer(headers, rows) -> str:
@@ -392,14 +421,16 @@ class TestRenderCsv:
         # every CLI table has three or more columns; csv.writer would quote
         # a row of one empty cell
         headers = data.draw(st.lists(cli_cells, min_size=width, max_size=width))
-        rows = data.draw(st.lists(st.lists(cli_cells, min_size=width, max_size=width),
-                                  max_size=30))
-        assert cli.render_csv(headers, rows) == render_csv_writer(headers, rows)
+        rows, text = data.draw(keyed_rows(headers, cli_cells))
+        assert cli.render_csv(rows) == render_csv_writer(headers, text)
 
     def test_contract_examples(self):
-        assert cli.render_csv(("a", "b"), []) == "a,b\n"
-        assert cli.render_csv(("m", "lhs"), [("-1", "inf"), ("0", "")]) == (
+        assert cli.render_csv(tail_rows(("a", "b"), [])) == "a,b\n"
+        assert cli.render_csv(tail_rows(("m", "lhs"), [("-1", "inf"), ("0", "")])) == (
             "m,lhs\n-1,inf\n0,\n")
+        # a field in json_only is left out; ints and bools print as JSON writes them
+        rows = cli.Rows(("m", "skip", "val", "ok"), ([-1, 0],), [(3, 7, True)], [0, 0], ("skip",))
+        assert cli.render_csv(rows) == "m,val,ok\n-1,7,true\n0,7,true\n"
 
 
 # any unicode string: controls, non-ASCII, astral characters and lone surrogates
@@ -427,15 +458,14 @@ class TestRenderJson:
                            max_size=4, unique=True))
     @settings(max_examples=150, deadline=None)
     def test_rows_match_a_list_of_dicts(self, data, fields, head):
-        # cells come from a small pool, so rows share objects, as the
+        # tails come from a small pool of values, so rows share them, as the
         # invariants rows of one polynomial do
         pool = data.draw(st.lists(json_values, min_size=1, max_size=3))
-        cells = st.sampled_from(pool) | st.integers()
-        rows = data.draw(st.lists(st.tuples(*[cells] * len(fields)), max_size=6))
-        dicts = [dict(zip(fields, row)) for row in rows]
+        rows, _ = data.draw(keyed_rows(fields, st.sampled_from(pool) | st.integers()))
+        dicts = [dict(zip(fields, [*(col[r] for col in rows.keys), *rows.tails[k]]))
+                 for r, k in enumerate(rows.index)]
         for wrap in (lambda v: {"head": head, "rows": v}, lambda v: [head, [v]]):
-            assert (cli.render_json(wrap(cli.JsonRows(fields, rows)))
-                    == json.dumps(wrap(dicts), indent=2) + "\n")
+            assert cli.render_json(wrap(rows)) == json.dumps(wrap(dicts), indent=2) + "\n"
 
     def test_other_types_are_refused(self):
         for value in (1.5, {"x": {1, 2}}, [b"x"]):
@@ -550,8 +580,7 @@ class TestFailureModes:
         def never(*_):
             raise AssertionError("an oversized cell reached the computation")
 
-        monkeypatch.setattr(cli, "invariants_payload", never)
-        monkeypatch.setattr(cli, "invariants_lines", never)
+        monkeypatch.setattr(cli, "format_charpoly", never)
         for degree in ("14285", "-14286", "16000", "200000000", "9" * 4000, "9" * 4300):
             path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": 1, degree: 1}})
             code, out, err = run(capsys, "invariants", path, "--format", fmt)
@@ -568,8 +597,7 @@ class TestFailureModes:
         def never(*_):
             raise AssertionError("an unprintable lambda reached the computation")
 
-        monkeypatch.setattr(cli, "invariants_payload", never)
-        monkeypatch.setattr(cli, "invariants_lines", never)
+        monkeypatch.setattr(cli, "format_charpoly", never)
         for betti in ({"0": big, "4": big}, {"0": big, "2": big}, {"-1": big, "1": big}):
             path = write_spectrum(tmp_path, {"p": 3, "betti": betti})
             code, out, err = run(capsys, "invariants", path, "--format", fmt)
@@ -668,8 +696,7 @@ class TestFailureModes:
         def never(*_):
             raise AssertionError("an oversized precision reached the computation")
 
-        monkeypatch.setattr(cli, "invariants_payload", never)
-        monkeypatch.setattr(cli, "invariants_lines", never)
+        monkeypatch.setattr(cli, "format_charpoly", never)
         for argv in (["--precision", "5089"], ["--precision", "9" * 4000],
                      ["--prime-override", "10007", "--precision", "1100"]):
             code, out, err = run(capsys, "invariants", spec, *argv, "--format", fmt)
@@ -686,8 +713,7 @@ class TestFailureModes:
         def never(*_):
             raise AssertionError("an invariants call past the row cap built its rows")
 
-        monkeypatch.setattr(cli, "invariants_payload", never)
-        monkeypatch.setattr(cli, "invariants_lines", never)
+        monkeypatch.setattr(cli, "format_charpoly", never)
         for p in ("100003", "1000000000039"):
             code, out, err = run(capsys, "invariants", str(CORPUS / "cp2_p5.json"),
                                  "--prime-override", p, "--format", fmt)
@@ -863,15 +889,20 @@ class TestBenchReferences:
 
 def emit_dicts(fmt, payload, records, headers, lead) -> str:
     """The output route as it was written first: one dict per record, every
-    cell through an isinstance test and str (booleans as true/false), and
-    JSON through the json module."""
+    cell through an isinstance test and str (booleans as true/false), table
+    and CSV through this file's first renderers, and JSON through the json
+    module."""
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
     rows = [[str(r[h]).lower() if isinstance(r[h], bool) else str(r[h]) for h in headers]
             for r in records]
     if fmt == "csv":
-        return cli.render_csv(headers, rows)
-    return lead + "\n" + cli.render_table(headers, rows)
+        return render_csv_writer(headers, rows)
+    return lead + "\n" + render_table_ljust(headers, rows)
+
+
+def inf_as_text(v: PadicValuation):
+    return "inf" if v == INFINITE else v.value
 
 
 def invariants_by_dicts(path, fmt, precision=64) -> str:
@@ -905,7 +936,7 @@ def imc_by_dicts(path, a, b, fmt) -> str:
     report = verify_weak_imc(X, range(a, b + 1))
     records = [{
         "m": r.m, "side": r.side,
-        "lhs_val": cli.val_json(r.lhs_valuation), "rhs_val": cli.val_json(r.rhs_valuation),
+        "lhs_val": inf_as_text(r.lhs_valuation), "rhs_val": inf_as_text(r.rhs_valuation),
         "in_window": r.in_window, "match": r.match,
     } for r in report.records]
     payload = {
@@ -922,9 +953,36 @@ def imc_by_dicts(path, a, b, fmt) -> str:
                       ["m", "side", "lhs_val", "rhs_val", "in_window", "match"], lead)
 
 
+def growth_by_dicts(path, rungs, average_only, fmt) -> str:
+    name, X = cli.load_spectrum_file(path)
+    X = strip_torsion(X)
+    lam, skip = total_lambda(X), default_skip(X)
+    records = []
+    for k, n in enumerate(ladder(X.p, rungs)):
+        average = graded_average(X, skip, n)
+        record = {"k": k, "n": n, "skip": skip, "average": str(average.value)}
+        if not average_only:
+            record["ratio"] = f"{growth_ratio(average, lam, X.p):.6f}"
+        records.append(record)
+    payload = {"name": name, "p": int(X.p), "total_lambda": lam, "skip": skip, "rows": records}
+    headers = ["k", "n", "average"] + ([] if average_only else ["ratio"])
+    return emit_dicts(fmt, payload, records, headers,
+                      f"p = {int(X.p)}  total_lambda = {lam}  skip = {skip}")
+
+
+def sphere_table_by_dicts(p, a, b, fmt) -> str:
+    records = []
+    for t in range(a, b + 1):
+        e = sphere_order(p, t)
+        records.append({"t": t, "exponent": inf_as_text(e),
+                        "order": "inf" if e == INFINITE else str(p ** e.value)})
+    return emit_dicts(fmt, {"p": p, "rows": records}, records, ["t", "exponent", "order"],
+                      f"p = {p}")
+
+
 def stdout_of(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     return code, out.getvalue()
 
@@ -937,19 +995,29 @@ spectrum_files = st.fixed_dictionaries(
 
 
 class TestRowsMatchTheDictRoute:
-    """invariants and imc build their rows straight from the computed values;
-    their stdout must equal the dict-then-emit route's byte for byte."""
+    """Every subcommand builds its rows as keys and shared tails; its stdout
+    must equal the dict-then-emit route's byte for byte."""
 
-    @given(spec=spectrum_files, a=st.integers(-40, 40), width=st.integers(0, 30))
+    @given(spec=spectrum_files, a=st.integers(-40, 40), width=st.integers(0, 30),
+           rungs=st.integers(0, 6))
     @settings(max_examples=120, deadline=None)
-    def test_byte_equal_in_every_format(self, tmp_path_factory, spec, a, width):
+    def test_byte_equal_in_every_format(self, tmp_path_factory, spec, a, width, rungs):
         path = str(tmp_path_factory.mktemp("spec") / "spec.json")
         pathlib.Path(path).write_text(json.dumps(spec))
+        _, X = cli.load_spectrum_file(path)
         for fmt in cli.FORMATS:
             assert stdout_of(["invariants", path, "--format", fmt]) == (
                 0, invariants_by_dicts(path, fmt))
             code, out = stdout_of(["imc", path, f"--m-range={a}..{a + width}", "--format", fmt])
             assert code == 0 and out == imc_by_dicts(path, a, a + width, fmt)
+            growth = ["growth", path, "--ladder", str(rungs), "--format", fmt]
+            assert stdout_of(growth + ["--average-only"]) == (
+                0, growth_by_dicts(path, rungs, True, fmt))
+            if total_lambda(X):
+                assert stdout_of(growth) == (0, growth_by_dicts(path, rungs, False, fmt))
+            assert stdout_of(["sphere-table", "-p", str(X.p), f"--t-range={a}..{a + width}",
+                              "--format", fmt]) == (
+                0, sphere_table_by_dicts(X.p, a, a + width, fmt))
 
     def test_precision_and_corpus(self):
         for path in sorted(CORPUS.glob("*.json")):
@@ -958,6 +1026,16 @@ class TestRowsMatchTheDictRoute:
             for fmt in cli.FORMATS:
                 assert stdout_of(["invariants", str(path), "--format", fmt])[1] \
                     == invariants_by_dicts(str(path), fmt)
+                for average_only in (True, False):
+                    argv = ["growth", str(path), "--format", fmt]
+                    assert stdout_of(argv + ["--average-only"] * average_only)[1] \
+                        == growth_by_dicts(str(path), 6, average_only, fmt)
+
+    def test_sphere_table_far_range(self):
+        # 2001 rows over a few distinct (exponent, order) tails
+        for fmt in cli.FORMATS:
+            assert stdout_of(["sphere-table", "-p", "5", "--t-range=-1000..1000",
+                              "--format", fmt]) == (0, sphere_table_by_dicts(5, -1000, 1000, fmt))
 
 
 # --------------------------------------------------------------- CLI fuzz

@@ -1,6 +1,10 @@
 """Valuations, the (1+p)^n - 1 identity, primality, and residues mod p**N."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +26,8 @@ from iwaspectra.padic import (
 )
 
 from oracles import euclid_inverse, int_valuation, rational_valuation
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 odd_primes = st.sampled_from([3, 5, 7, 11, 13])
 
@@ -108,6 +114,16 @@ class TestOnePlusPPowMinusOne:
         assert one_plus_p_pow_minus_one_valuation(3, -9) == PadicValuation(3)
         with pytest.raises(ZeroInput):
             one_plus_p_pow_minus_one_valuation(3, 0)
+
+    def test_int_kernel_refuses_zero_instead_of_looping(self):
+        # run in a child, so a kernel that loops on n = 0 fails here in 10 s
+        code = ("from iwaspectra.padic import _special_exponent\n"
+                "try:\n    _special_exponent(3, 0)\n"
+                "except ValueError as exc:\n    print(type(exc).__name__, exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ZeroInput (1+p)^0 - 1 = 0 has no finite valuation\n"
 
     def test_expansion_oracle_agrees_on_example_inputs(self):
         # 6^5 - 1 = 7775 = 5^2 * 311
