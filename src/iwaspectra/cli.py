@@ -16,8 +16,15 @@ JSON payload, which holds one Rows.  A row is its key, the int cells that
 print the same in every format (m, side / degree, j / k, n / t), and the
 index of a shared tail holding the rest of its values: an imc call has a
 few dozen distinct tails, an invariants call one per distinct polynomial.
-emit writes a Result through render_table, render_csv or render_json, and
-each lays out every distinct key cell and every distinct tail once.
+Each key column is likewise its values and the position of each row's
+value among them, so the 2(p-1) invariants rows lay out 2 degree cells
+and p - 1 weight cells.  emit writes a Result through render_table,
+render_csv or render_json, and each lays out every key value and every
+distinct tail once.
+
+main() runs one call and returns its exit code.  entry(), behind
+`python -m iwaspectra.cli` and the iwaspectra script, runs main(), flushes
+stdout and stderr, and ends the process at once with os._exit.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import re
 import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from .asymptotics import LambdaZero, default_skip, graded_average, growth_ratio, ladder
 from .iwalg import CharPoly, coefficients_mod, format_charpoly
@@ -184,12 +192,14 @@ class Rows(namedtuple("Rows", ["fields", "keys", "tails", "index", "json_only"],
                       defaults=((),))):
     """The rows of a result, each its key and a shared tail.  fields names
     the values of a row in order, the key fields and then the tail fields,
-    of which there is at least one.  keys holds one sequence of ints per key
-    field, a value per row; tails holds the distinct tails, tuples of JSON
-    values; index is a sequence of the position in tails of each row's
-    tail.  Table and CSV print every field not in json_only: an int or bool
-    as JSON writes it, a str as it is.  A tail that no row uses prints no
-    cell wider than its field's name."""
+    of which there is at least one.  keys holds, per key field, a pair
+    (values, positions): a sequence of ints, and a sequence of the position
+    in values of each row's value; tails holds the distinct tails, tuples
+    of JSON values; index is a sequence of the position in tails of each
+    row's tail.  Table and CSV print every field not in json_only: an int
+    or bool as JSON writes it, a str as it is.  Every key value counts
+    toward its column's width; a tail that no row uses prints no cell wider
+    than its field's name."""
 
     __slots__ = ()
 
@@ -224,16 +234,35 @@ def _printed(rows: Rows):
     return tuple(rows.fields[:nk]) + tuple(rows.fields[nk + i] for i in shown), cells
 
 
+def _ends(values) -> tuple:
+    """The least and the greatest of a nonempty sequence of ints, in either
+    order: a range's first and last, without a pass over it."""
+    return (values[0], values[-1]) if isinstance(values, range) else (min(values), max(values))
+
+
+def _cells(fmt: str, values) -> list:
+    """fmt applied to each of a sequence of ints, in order, through one %
+    over all of them: per value, about half the cost of a % of its own.
+    No cell of an int holds the NUL that separates them."""
+    return (f"{fmt}\0" * len(values) % tuple(values)).split("\0")
+
+
 def _lines(header: str, key_formats, tails, rows: Rows, strip: bool = False) -> str:
     """header and one line per row: its key cells, each of key_formats
-    applied once per distinct value of its column, then its tail's text
-    from tails; strip cuts the trailing blanks of every line."""
-    columns = []
-    for fmt, column in zip(key_formats, rows.keys):
-        cells = {v: fmt % v for v in set(column)}
-        columns.append(map(cells.__getitem__, column))
-    lines = map("".join, zip(*columns, map(tails.__getitem__, rows.index)))
-    return "\n".join([header, *(map(str.rstrip, lines) if strip else lines)]) + "\n"
+    applied once per value of its key column, then its tail's text from
+    tails; strip cuts the trailing blanks of every line.  Without strip, no
+    line is built as a string of its own: each column's cells go into every
+    (nk + 1)-th slot of one list, which is joined once."""
+    columns = [map(_cells(fmt, values).__getitem__, positions)
+               for fmt, (values, positions) in zip(key_formats, rows.keys)]
+    if strip:
+        lines = zip(*columns, map(tails.__getitem__, rows.index))
+        return "\n".join([header, *map(str.rstrip, map("".join, lines))]) + "\n"
+    columns.append(map([t + "\n" for t in tails].__getitem__, rows.index))
+    out = [header + "\n", *[None] * (len(columns) * len(rows.index))]
+    for k, column in enumerate(columns, 1):
+        out[k::len(columns)] = column
+    return "".join(out)
 
 
 def render_table(rows: Rows) -> str:
@@ -241,9 +270,10 @@ def render_table(rows: Rows) -> str:
     trailing blanks cut from every line."""
     headers, cells = _printed(rows)
     nk = len(rows.keys)
-    # the longest decimal of a column of ints is its least or its greatest
-    widths = [max(len(h), *(len("%d" % end(c)) for end in (min, max))) if c else len(h)
-              for h, c in zip(headers, rows.keys)]
+    # the longest decimal of a column of ints is its least or its greatest,
+    # which a range has at its ends
+    widths = [max(len(h), *(len("%d" % e) for e in _ends(v))) if v else len(h)
+              for h, (v, _) in zip(headers, rows.keys)]
     widths += [max(len(h), max((len(c[i]) for c in cells), default=0))
                for i, h in enumerate(headers[nk:])]
     tail = _columns(widths[nk:])
@@ -300,11 +330,12 @@ def _json_rows(rows: Rows, indent: str) -> str:
     and each distinct tail written once."""
     inner, cell = indent + "  ", indent + "    "
     nk = len(rows.keys)
-    keys = "".join(f"{cell}{_quote(f).replace('%', '%%')}: %d,\n" for f in rows.fields[:nk])
-    template = f"{inner}{{\n{keys}%s\n{inner}}}"
+    head = "".join(f"{cell}{_quote(f).replace('%', '%%')}: %d,\n" for f in rows.fields[:nk])
+    template = f"{inner}{{\n{head}%s\n{inner}}}"
     tails = [",\n".join(f"{cell}{_quote(f)}: {_json(v, cell)}"
                         for f, v in zip(rows.fields[nk:], t)) for t in rows.tails]
-    objects = map(template.__mod__, zip(*rows.keys, map(tails.__getitem__, rows.index)))
+    keys = [map(values.__getitem__, positions) for values, positions in rows.keys]
+    objects = map(template.__mod__, zip(*keys, map(tails.__getitem__, rows.index)))
     return "[\n" + ",\n".join(objects) + "\n" + indent + "]"
 
 
@@ -315,7 +346,11 @@ def emit(fmt: str, result: Result) -> None:
         sys.stdout.write(render_json(result.payload))
         return
     rows = next(v for v in result.payload.values() if isinstance(v, Rows))
-    sys.stdout.write(render_csv(rows) if fmt == "csv" else result.lead + "\n" + render_table(rows))
+    if fmt == "csv":
+        sys.stdout.write(render_csv(rows))
+    else:  # the lead written apart, so the whole table is not copied once more
+        sys.stdout.write(result.lead + "\n")
+        sys.stdout.write(render_table(rows))
 
 
 # ------------------------------------------------------------- subcommands
@@ -389,8 +424,11 @@ def cmd_invariants(args) -> int:
          "alpha": None if window is None else window[0],
          "beta": None if window is None else window[1],
          "precision": args.precision,
-         "eigenspaces": Rows(INVARIANTS_FIELDS, ([0] * (p - 1) + [-1] * (p - 1),
-                                                 [*range(p - 1)] * 2),
+         # the degree positions as bytes, a sequence of small ints that
+         # costs one byte per row
+         "eigenspaces": Rows(INVARIANTS_FIELDS,
+                             (((0, -1), bytes(p - 1) + b"\1" * (p - 1)),
+                              (range(p - 1), [*range(p - 1)] * 2)),
                              tails, index, ("factors", "coefficients_mod"))}))
     return EXIT_OK
 
@@ -419,21 +457,23 @@ def cmd_imc(args) -> int:
     a, b = args.m_range
     check_imc_size(args.file, X, a, b)
     report = verify_weak_imc(X, range(a, b + 1))
-    ms, sides, lhs, rhs, inside, match = zip(*report.records)
+    ms, sides, lhs, rhs, inside, match = report.columns
     # a few distinct (lhs_val, rhs_val, in_window, match) tails over all records
-    known = {}
-    index = [known.setdefault(tail, len(known)) for tail in
-             zip([v.value for v in lhs], [v.value for v in rhs], inside, match)]
+    value = attrgetter("value")
+    record_tails = list(zip(map(value, lhs), map(value, rhs), inside, match))
+    known = {tail: k for k, tail in enumerate(dict.fromkeys(record_tails))}
+    index = list(map(known.__getitem__, record_tails))
     tails = [(val_json(u), val_json(v), i, m) for u, v, i, m in known]
     mismatches = len(report.in_window_mismatches)
+    each = range(len(ms))
     emit(args.format, Result(
         f"p = {int(report.p)}  m in [{a}, {b}]  in-window mismatches: {mismatches}",
         {"name": name, "p": int(report.p),
          "alpha": None if report.window is None else report.window[0],
          "beta": None if report.window is None else report.window[1],
-         "records": Rows(IMC_FIELDS, (ms, sides), tails, index),
-         "in_window_mismatches": mismatches, "ok": report.ok}))
-    return EXIT_OK if report.ok else EXIT_FAILED
+         "records": Rows(IMC_FIELDS, ((ms, each), (sides, each)), tails, index),
+         "in_window_mismatches": mismatches, "ok": not mismatches}))
+    return EXIT_FAILED if mismatches else EXIT_OK
 
 
 def check_growth_size(path: str, X: FiniteSpectrumData, lam: int, skip: int,
@@ -492,10 +532,11 @@ def cmd_growth(args) -> int:
             tail += (f"{ratio:.6f}",)
         tails.append(tail)
     fields = ("k", "n", "skip", "average") + (() if args.average_only else ("ratio",))
+    each = range(len(lengths))
     emit(args.format, Result(
         f"p = {int(X.p)}  total_lambda = {lam}  skip = {skip}",
         {"name": name, "p": int(X.p), "total_lambda": lam, "skip": skip,
-         "rows": Rows(fields, (range(len(lengths)), lengths), tails, range(len(tails)),
+         "rows": Rows(fields, ((range(len(lengths)), each), (lengths, each)), tails, each,
                       ("skip",))}))
     return EXIT_OK
 
@@ -507,7 +548,9 @@ def cmd_sphere_table(args) -> int:
     index = [known.setdefault(sphere_order(p, t).value, len(known)) for t in range(a, b + 1)]
     tails = [(val_json(e), "inf" if e == math.inf else str(p ** e)) for e in known]
     emit(args.format, Result(f"p = {int(p)}", {
-        "p": int(p), "rows": Rows(("t", "exponent", "order"), (range(a, b + 1),), tails, index)}))
+        "p": int(p),
+        "rows": Rows(("t", "exponent", "order"), ((range(a, b + 1), range(b - a + 1)),), tails,
+                     index)}))
     return EXIT_OK
 
 
@@ -611,7 +654,28 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    """main(), then the end of the process: once stdout and stderr are
+    flushed, os._exit skips the interpreter's teardown, of which the CLI
+    needs nothing.  A profiler or tracer writes its report at exit, so with
+    one active, or when the stderr flush fails, the process ends through
+    sys.exit.  A stdout that cannot be written, a pipe whose reader left or
+    a full disk, ends the call with exit 1 and one error line."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        # the rest of the output is dropped: the buffer now drains into
+        # /dev/null, so the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAILED
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    if sys.getprofile() is None and sys.gettrace() is None:
+        os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

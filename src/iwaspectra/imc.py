@@ -47,6 +47,7 @@ the point of the check.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress, starmap
 
 from .iwalg import evaluate_valuation
 from .k1 import k1_order_of_dual_replacement
@@ -58,15 +59,21 @@ ImcRecord = namedtuple("ImcRecord", ["m", "side", "lhs_valuation", "rhs_valuatio
                                      "in_window", "match"])
 
 
-class ImcReport(namedtuple("ImcReport", ["p", "window", "records"])):
-    """window is (alpha, beta) of X, None if rationally trivial; records is
-    a tuple of ImcRecords."""
+class ImcReport(namedtuple("ImcReport", ["p", "window", "columns"])):
+    """window is (alpha, beta) of X, None if rationally trivial; columns is
+    an ImcRecord of equal-length sequences, the records field by field."""
 
     __slots__ = ()
 
     @property
+    def records(self) -> tuple[ImcRecord, ...]:
+        return tuple(map(ImcRecord, *self.columns))
+
+    @property
     def in_window_mismatches(self) -> tuple[ImcRecord, ...]:
-        return tuple(r for r in self.records if r.in_window and not r.match)
+        c = self.columns
+        flags = [inside and not match for inside, match in zip(c.in_window, c.match)]
+        return tuple(starmap(ImcRecord, compress(zip(*c), flags)))
 
     @property
     def ok(self) -> bool:
@@ -88,16 +95,18 @@ def _inside(window, m: int) -> bool:
 def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:
     """Run the comparison for every m in m_range, both sides per m: a record
     matches when the two valuations have equal values, INFINITE matching
-    INFINITE.  The degree window of X is computed once per report."""
+    INFINITE.  The degree window of X is computed once per report, and the
+    two eigenspace polynomials of each residue of -m mod p-1 are read once;
+    the records are built column by column."""
     ms = list(m_range)
     sides = [t for m in ms for t in (2 * m - 1, 2 * m)]
-    lhs_values = iter(k1_order_of_dual_replacement(X, sides))
+    lhs = k1_order_of_dual_replacement(X, sides)
+    q = X.p - 1
+    polys = {j: (eigenspace_charpoly(X, (0, j)), eigenspace_charpoly(X, (-1, j)))
+             for j in {-m % q for m in ms}}
+    rhs = [evaluate_valuation(f, -m) for m in ms for f in polys[-m % q]]
     window = degree_window(X)
-    records = []
-    for m in ms:
-        inside = _inside(window, m)
-        for side, degree in ((2 * m - 1, 0), (2 * m, -1)):
-            lhs = next(lhs_values)
-            rhs = evaluate_valuation(eigenspace_charpoly(X, (degree, -m)), -m)
-            records.append(ImcRecord(m, side, lhs, rhs, inside, lhs.value == rhs.value))
-    return ImcReport(X.p, window, tuple(records))
+    record_ms = [m for m in ms for _ in (0, 1)]
+    inside = [_inside(window, m) for m in record_ms]
+    match = [u.value == v.value for u, v in zip(lhs, rhs)]
+    return ImcReport(X.p, window, ImcRecord(record_ms, sides, lhs, rhs, inside, match))

@@ -61,16 +61,16 @@ class CharPoly(Immutable):
 
 def evaluate_valuation(f: CharPoly, s: int) -> PadicValuation:
     """nu_p(f((1+p)^s - 1)), factor-wise: the factor at i vanishes when
-    s = i (INFINITE), otherwise contributes (1 + nu_p(s - i)) * multiplicity.
-    The exponents are summed as ints and wrapped once, small totals into
-    shared instances."""
+    s = i (INFINITE), otherwise contributes (1 + nu_p(s - i)) * multiplicity,
+    which is the multiplicity unless p divides s - i.  The exponents are
+    summed as ints and wrapped once, small totals into shared instances."""
     if not isinstance(s, int) or isinstance(s, bool):
         raise TypeError(f"evaluation point index must be an int, got {type(s).__name__}")
-    total = 0
+    p, total = f.p, 0
     for i, mult in f.factors:
         if s == i:
             return INFINITE
-        total += _special_exponent(f.p, s - i) * mult
+        total += mult if (s - i) % p else _special_exponent(p, s - i) * mult
     return _valuation(total)
 
 

@@ -73,8 +73,9 @@ def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
     """Exponent of |pi_t| of the K(1)-localization of torsion-free X: the sum
     over cells d of rank * sphere_order(p, t - d).  INFINITE when a cell sits
     at t or t + 1; otherwise only the cells at residue (t + 1) mod 2(p-1)
-    are read, each a special degree t - d = 2(p-1)k - 1 with k != 0.  The
-    exponents are summed as ints and wrapped once."""
+    are read, each a special degree t - d = 2(p-1)k - 1 with k != 0, whose
+    exponent 1 + nu_p(k) is 1 unless p divides k.  The exponents are summed
+    as ints and wrapped once."""
     _refuse_torsion(X)
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError(f"degree must be an int, got {type(t).__name__}")
@@ -84,7 +85,8 @@ def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
     period = 2 * (p - 1)
     total = 0
     for d, r in X.cells_by_residue.get((t + 1) % period, ()):
-        total += _special_exponent(p, (t + 1 - d) // period) * r
+        k = (t + 1 - d) // period
+        total += r if k % p else _special_exponent(p, k) * r
     return _valuation(total)
 
 

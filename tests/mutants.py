@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Mutants of src/ that the tests must catch, and a runner that checks it.
+
+    python tests/mutants.py [--timeout S] [NAME ...]
+
+Each mutant is one text replacement in one file, and the ids of the tests
+that must fail under it.  For each mutant (all, or the NAMEs given) the
+runner copies the repository into a temporary directory, applies the
+mutant there, and runs the named tests with pytest under a per-mutant
+timeout.  A mutant survives when one of its named tests passes; a run that
+outlives the timeout is reported as a hang, which counts as caught.  The
+exit code is 1 when any mutant survives or its tests cannot run, else 0.
+This takes a few seconds per mutant, so it is not part of the test suite;
+tests/test_mutants.py checks only that each old text still occurs exactly
+once in its file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", ["name", "file", "old", "new", "tests"])
+
+CLI = "src/iwaspectra/cli.py"
+ENTRY = "tests/test_cli.py::TestEntry::"
+
+MUTANTS = (
+    Mutant("entry-without-flush", CLI,
+           "        code = main()\n        sys.stdout.flush()\n",
+           "        code = main()\n",
+           (ENTRY + "test_output_is_written_whole[small]",)),
+    Mutant("entry-fast-exit-under-profiler", CLI,
+           "    if sys.getprofile() is None and sys.gettrace() is None:\n",
+           "    if True:\n",
+           (ENTRY + "test_profiler_report_still_prints",)),
+    Mutant("entry-without-pipe-handler", CLI,
+           "    except OSError as exc:\n        # the rest of the output is dropped",
+           "    except ArithmeticError as exc:\n        # the rest of the output is dropped",
+           tuple(ENTRY + f"test_{case}_is_exit_1[{route}]"
+                 for case in ("closed_pipe", "full_disk") for route in ("exit", "traced"))),
+    Mutant("entry-keeps-unwritten-output", CLI,
+           "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+           "",
+           (ENTRY + "test_full_disk_is_exit_1[traced]",)),
+    Mutant("entry-fast-exit-drops-code", CLI,
+           "        os._exit(code)\n",
+           "        os._exit(0)\n",
+           (ENTRY + "test_each_failure_writes_one_error_line[lambda-zero]",
+            ENTRY + "test_each_failure_writes_one_error_line[broken-file]",
+            ENTRY + "test_each_failure_writes_one_error_line[bad-prime]")),
+    Mutant("imc-exit-ignores-mismatches", CLI,
+           "    return EXIT_FAILED if mismatches else EXIT_OK\n",
+           "    return EXIT_OK\n",
+           ("tests/test_cli.py::TestImc::test_mismatch_exit_code_wiring",)),
+    Mutant("table-key-width-from-max-only", CLI,
+           "else (min(values), max(values))",
+           "else (max(values),)",
+           ("tests/test_cli.py::TestRenderTable::test_matches_the_ljust_renderer",)),
+    # hung tests/test_k1.py for 600 s while _special_exponent(p, 0) looped;
+    # it raises ZeroInput since
+    Mutant("wedge-order-without-t-plus-1", "src/iwaspectra/k1.py",
+           "    if t in X.betti or t + 1 in X.betti:\n",
+           "    if t in X.betti:\n",
+           ("tests/test_k1.py::TestWedgeOrder::test_multiplicative_in_wedges",
+            "tests/test_k1.py::TestWedgeOrder::test_per_cell_bruteforce_oracle",
+            "tests/test_imc.py::TestMismatches::test_contract_examples")),
+    Mutant("wedge-order-exponent-always-1", "src/iwaspectra/k1.py",
+           "        total += r if k % p else _special_exponent(p, k) * r\n",
+           "        total += r\n",
+           ("tests/test_k1.py::TestWedgeOrder::test_per_cell_bruteforce_oracle",
+            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan")),
+    Mutant("evaluate-valuation-exponent-always-1", "src/iwaspectra/iwalg.py",
+           "        total += mult if (s - i) % p else _special_exponent(p, s - i) * mult\n",
+           "        total += mult\n",
+           ("tests/test_iwalg.py::TestEvaluateValuation::test_factor_route_matches_exact_route",)),
+    Mutant("imc-eigenspaces-swapped", "src/iwaspectra/imc.py",
+           "(eigenspace_charpoly(X, (0, j)), eigenspace_charpoly(X, (-1, j)))",
+           "(eigenspace_charpoly(X, (-1, j)), eigenspace_charpoly(X, (0, j)))",
+           ("tests/test_imc.py::TestMismatches::test_mismatches_are_the_cell_rule",)),
+    Mutant("imc-mismatches-outside-the-window", "src/iwaspectra/imc.py",
+           "flags = [inside and not match for",
+           "flags = [not match for",
+           ("tests/test_imc.py::TestWeakImc::test_random_spectra_match_in_window",)),
+)
+
+
+def run_mutant(mutant: Mutant, timeout: float) -> tuple[str, str]:
+    """(verdict, detail): "caught", "hang", "survived" or "error"."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", "out"))
+        target = copy / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "error", f"old text occurs {text.count(mutant.old)} times in {mutant.file}"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                 *mutant.tests], cwd=copy, env=env, capture_output=True, text=True,
+                timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return "hang", f"still running after {timeout:g} s"
+    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M))
+    if proc.returncode not in (0, 1):
+        return "error", proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    passed = [t for t in mutant.tests if t not in failed]
+    if passed:
+        return "survived", "passes: " + ", ".join(passed)
+    return "caught", f"{len(failed)} named test(s) failed"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--timeout", type=float, default=120.0,
+                        help="seconds per mutant (default %(default)s)")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    bad = 0
+    for mutant in [known[n] for n in args.names] or MUTANTS:
+        verdict, detail = run_mutant(mutant, args.timeout)
+        bad += verdict in ("survived", "error")
+        print(f"{verdict:8s} {mutant.name}: {detail}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

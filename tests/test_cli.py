@@ -150,8 +150,8 @@ class TestImc:
         assert rec["lhs_val"] == "inf" and rec["rhs_val"] == "inf"
 
     def test_mismatch_exit_code_wiring(self, capsys, monkeypatch):
-        bad = ImcReport(3, (0, 0), (
-            ImcRecord(0, -1, PadicValuation(0), PadicValuation(1), True, False),))
+        bad = ImcReport(3, (0, 0), ImcRecord(
+            [0], [-1], [PadicValuation(0)], [PadicValuation(1)], [True], [False]))
         monkeypatch.setattr(cli, "verify_weak_imc", lambda X, m_range: bad)
         code, out, _ = run(capsys, "imc", str(CORPUS / "s0_p3.json"), "--format", "csv")
         assert code == 1
@@ -359,18 +359,27 @@ ascii_cells = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_si
 def keyed_rows(draw, headers, cells):
     """(Rows, text rows): Rows under headers whose first columns are int keys
     and whose other columns, one or more, come from a few shared tails of
-    cells; and each of its rows as the list of the cells it prints."""
+    cells; and each of its rows as the list of the cells it prints.  A key
+    column is its values with the row positions, either one value per row
+    or each distinct value once."""
     nk = draw(st.integers(0, len(headers) - 1))
     n = draw(st.integers(0, 40))
-    keys = [draw(st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([0, 7]),
-                          min_size=n, max_size=n)) for _ in range(nk)]
+    columns = [draw(st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([0, 7]),
+                             min_size=n, max_size=n)) for _ in range(nk)]
+    keys = []
+    for col in columns:
+        if draw(st.booleans()):
+            values = list(dict.fromkeys(col))
+            keys.append((values, [values.index(v) for v in col]))
+        else:
+            keys.append((col, range(n)))
     tails = draw(st.lists(st.tuples(*[cells] * (len(headers) - nk)), min_size=1, max_size=5))
     index = draw(st.lists(st.integers(0, len(tails) - 1), min_size=n, max_size=n))
     # a tail that no row uses must print no cell wider than its field's name
     tails = [t if k in index else tuple(c[:len(h)] if isinstance(c, str) else c
                                         for c, h in zip(t, headers[nk:]))
              for k, t in enumerate(tails)]
-    text = [[str(col[r]) for col in keys] + list(tails[index[r]]) for r in range(n)]
+    text = [[str(col[r]) for col in columns] + list(tails[index[r]]) for r in range(n)]
     return cli.Rows(tuple(headers), tuple(keys), tails, index), text
 
 
@@ -395,7 +404,8 @@ class TestRenderTable:
         assert cli.render_table(tail_rows(["a", "b"], [["xyz", ""], ["", "%s"]])) == (
             "a    b\nxyz\n     %s\n")
         # a blank tail cuts the padding of the key cells before it
-        assert cli.render_table(cli.Rows(("k", "v"), ([100, 5],), [("x",), ("",)], [0, 1])) == (
+        assert cli.render_table(cli.Rows(("k", "v"), (([100, 5], [0, 1]),), [("x",), ("",)],
+                                         [0, 1])) == (
             "k    v\n100  x\n5\n")
 
 
@@ -429,7 +439,8 @@ class TestRenderCsv:
         assert cli.render_csv(tail_rows(("m", "lhs"), [("-1", "inf"), ("0", "")])) == (
             "m,lhs\n-1,inf\n0,\n")
         # a field in json_only is left out; ints and bools print as JSON writes them
-        rows = cli.Rows(("m", "skip", "val", "ok"), ([-1, 0],), [(3, 7, True)], [0, 0], ("skip",))
+        rows = cli.Rows(("m", "skip", "val", "ok"), (([0, -1], [1, 0]),), [(3, 7, True)], [0, 0],
+                        ("skip",))
         assert cli.render_csv(rows) == "m,val,ok\n-1,7,true\n0,7,true\n"
 
 
@@ -462,7 +473,7 @@ class TestRenderJson:
         # invariants rows of one polynomial do
         pool = data.draw(st.lists(json_values, min_size=1, max_size=3))
         rows, _ = data.draw(keyed_rows(fields, st.sampled_from(pool) | st.integers()))
-        dicts = [dict(zip(fields, [*(col[r] for col in rows.keys), *rows.tails[k]]))
+        dicts = [dict(zip(fields, [*(v[ix[r]] for v, ix in rows.keys), *rows.tails[k]]))
                  for r, k in enumerate(rows.index)]
         for wrap in (lambda v: {"head": head, "rows": v}, lambda v: [head, [v]]):
             assert cli.render_json(wrap(rows)) == json.dumps(wrap(dicts), indent=2) + "\n"
@@ -814,6 +825,94 @@ class TestIntDigitLimit:
                              "--prime-override", "1" * 5000], "0")
         assert proc.returncode == 2 and proc.stdout == ""
         assert "argument --prime-override: expected an integer" in proc.stderr
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter: the package on its path, no
+    format set, and stdout block-buffered, as it is by default when not a
+    terminal."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name in (cli.FORMAT_ENV_VAR, "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    return env
+
+
+def child(args, **kwargs):
+    """`python *args` in a fresh interpreter: a CompletedProcess of bytes."""
+    return subprocess.run([sys.executable, *args], env=child_env(), timeout=60, **kwargs)
+
+
+BIG_TABLE = ["sphere-table", "-p", "3", "--t-range=0..100000"]  # 2 MB of output
+
+# runs the CLI as `python -m iwaspectra.cli` does, under a tracer that sees
+# only calls, so that entry() takes its sys.exit path
+TRACED = ("import runpy, sys; sys.settrace(lambda *event: None); "
+          "sys.argv[0] = 'iwaspectra'; runpy.run_module('iwaspectra.cli', run_name='__main__')")
+
+
+def assert_one_error_line(stderr: bytes):
+    text = stderr.decode()
+    assert len(text.splitlines()) == 1 and text.startswith("error: "), text
+
+
+class TestEntry:
+    """entry(), the process path behind `python -m iwaspectra.cli`: it ends
+    the process with os._exit after flushing, or through sys.exit under a
+    profiler or tracer."""
+
+    # a small output is still in the buffer when main() returns, most of a
+    # large one is written through it
+    @pytest.mark.parametrize("argv", [["sphere-table", "-p", "3"], BIG_TABLE],
+                             ids=["small", "2MB"])
+    def test_output_is_written_whole(self, argv):
+        proc = child(["-m", "iwaspectra.cli", *argv], capture_output=True)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout == stdout_of(argv)[1].encode()
+        assert len(proc.stdout) > (2 * 10 ** 6 if argv is BIG_TABLE else 0)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["growth", "LAMBDA_ZERO"], cli.EXIT_FAILED),
+        (["invariants", "BROKEN"], cli.EXIT_PARSE),
+        (["imc", str(CORPUS / "s0_p3.json"), "--m-range=3..1"], cli.EXIT_PARSE),
+        (["sphere-table", "-p", "9"], cli.EXIT_BAD_PRIME),
+    ], ids=["lambda-zero", "broken-file", "usage", "bad-prime"])
+    def test_each_failure_writes_one_error_line(self, tmp_path, argv, code):
+        files = {"LAMBDA_ZERO": write_spectrum(tmp_path, {"p": 3, "betti": {"0": 1, "1": 1}}),
+                 "BROKEN": str(tmp_path / "broken.json")}
+        (tmp_path / "broken.json").write_text('{"p": 3, "betti": {"0": 1}')
+        proc = child(["-m", "iwaspectra.cli", *(files.get(a, a) for a in argv)],
+                     capture_output=True)
+        assert proc.returncode == code and proc.stdout == b""
+        errors = [line for line in proc.stderr.decode().splitlines() if "error:" in line]
+        assert len(errors) == 1 and "Traceback" not in proc.stderr.decode()
+
+    def test_profiler_report_still_prints(self):
+        proc = child(["-m", "cProfile", "-m", "iwaspectra.cli", "sphere-table", "-p", "3"],
+                     capture_output=True)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout.startswith(stdout_of(["sphere-table", "-p", "3"])[1].encode())
+        assert b"function calls" in proc.stdout
+
+    @pytest.mark.parametrize("route", ["exit", "traced"])
+    def test_closed_pipe_is_exit_1(self, route):
+        args = ["-m", "iwaspectra.cli"] if route == "exit" else ["-c", TRACED]
+        with subprocess.Popen([sys.executable, *args, *BIG_TABLE], env=child_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()  # the reader leaves before the output is written
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == cli.EXIT_FAILED
+        assert_one_error_line(stderr)
+        assert b"Broken pipe" in stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("route", ["exit", "traced"])
+    def test_full_disk_is_exit_1(self, route):
+        args = ["-m", "iwaspectra.cli"] if route == "exit" else ["-c", TRACED]
+        with open("/dev/full", "wb") as full:
+            proc = child([*args, "sphere-table", "-p", "3"], stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == cli.EXIT_FAILED
+        assert_one_error_line(proc.stderr)
+        assert b"No space left on device" in proc.stderr
 
 
 class TestFormatSelection:
