@@ -93,7 +93,7 @@ def graded_average(X: FiniteSpectrumData, skip: int, length: int) -> GradedAvera
     """Exact alternating average over the window skip+1 .. skip+length, in
     closed form: O(cells * log_p(length)) big-integer steps."""
     _refuse_torsion(X)
-    if not isinstance(length, int) or length < 1:
+    if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise ValueError(f"window length must be an int >= 1, got {length!r}")
     if not isinstance(skip, int) or isinstance(skip, bool):
         raise ValueError(f"skip must be an int, got {skip!r}")
@@ -132,7 +132,7 @@ def default_skip(X: FiniteSpectrumData) -> int:
 def ladder(p, rungs: int) -> list[int]:
     """Window lengths 2(p-1)p^k for k = 0..rungs."""
     p = OddPrime(p)
-    if not isinstance(rungs, int) or rungs < 0:
+    if not isinstance(rungs, int) or isinstance(rungs, bool) or rungs < 0:
         raise ValueError(f"rungs must be an int >= 0, got {rungs!r}")
     return [2 * (p - 1) * p ** k for k in range(rungs + 1)]
 

@@ -30,13 +30,13 @@ stdout and stderr, and ends the process at once with os._exit.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import re
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
 from .asymptotics import LambdaZero, default_skip, graded_average, growth_ratio, ladder
@@ -147,8 +147,13 @@ def load_spectrum_file(path: str, prime_override=None):
             raise SpectrumFileError(f"{path}: missing required key '{required}'")
 
     name = payload.get("name")
-    if name is not None and not isinstance(name, str):
-        raise SpectrumFileError(f"{path}: 'name' must be a string")
+    if name is not None:
+        if not isinstance(name, str):
+            raise SpectrumFileError(f"{path}: 'name' must be a string")
+        try:
+            name.encode()
+        except UnicodeEncodeError:  # a lone surrogate, from an escape such as \ud800
+            raise SpectrumFileError(f"{path}: 'name' has no UTF-8 form (a lone surrogate)")
 
     p = payload["p"]
     if not isinstance(p, int) or isinstance(p, bool):
@@ -208,6 +213,10 @@ class Rows(namedtuple("Rows", ["fields", "keys", "tails", "index", "json_only"],
 # payload, a dict whose one Rows value is what table and CSV print
 Result = namedtuple("Result", ["lead", "payload"])
 
+# the json module's indent-2 encoder, for every value that is not a Rows:
+# its nested lines are indented as a top-level value's are
+_encode = json.JSONEncoder(indent=2).encode
+
 
 def val_json(value):
     """A valuation's value as the output holds it: the int, or "inf"."""
@@ -229,7 +238,7 @@ def _printed(rows: Rows):
     and the printed tail cells of each tail."""
     nk = len(rows.keys)
     shown = [i for i, f in enumerate(rows.fields[nk:]) if f not in rows.json_only]
-    cells = [tuple(t[i] if t[i].__class__ is str else _json(t[i], "") for i in shown)
+    cells = [tuple(t[i] if t[i].__class__ is str else _encode(t[i]) for i in shown)
              for t in rows.tails]
     return tuple(rows.fields[:nk]) + tuple(rows.fields[nk + i] for i in shown), cells
 
@@ -247,18 +256,15 @@ def _cells(fmt: str, values) -> list:
     return (f"{fmt}\0" * len(values) % tuple(values)).split("\0")
 
 
-def _lines(header: str, key_formats, tails, rows: Rows, strip: bool = False) -> str:
-    """header and one line per row: its key cells, each of key_formats
-    applied once per value of its key column, then its tail's text from
-    tails; strip cuts the trailing blanks of every line.  Without strip, no
-    line is built as a string of its own: each column's cells go into every
-    (nk + 1)-th slot of one list, which is joined once."""
+def _lines(header: str, key_formats, tails, rows: Rows, end: str = "\n") -> str:
+    """header and a line break, then per row its key cells, each of
+    key_formats applied once per value of its key column, and its tail's
+    text from tails followed by end.  No row is built as a string of its
+    own: each column's cells go into every (nk + 1)-th slot of one list,
+    which is joined once."""
     columns = [map(_cells(fmt, values).__getitem__, positions)
                for fmt, (values, positions) in zip(key_formats, rows.keys)]
-    if strip:
-        lines = zip(*columns, map(tails.__getitem__, rows.index))
-        return "\n".join([header, *map(str.rstrip, map("".join, lines))]) + "\n"
-    columns.append(map([t + "\n" for t in tails].__getitem__, rows.index))
+    columns.append(map([t + end for t in tails].__getitem__, rows.index))
     out = [header + "\n", *[None] * (len(columns) * len(rows.index))]
     for k, column in enumerate(columns, 1):
         out[k::len(columns)] = column
@@ -278,9 +284,10 @@ def render_table(rows: Rows) -> str:
                for i, h in enumerate(headers[nk:])]
     tail = _columns(widths[nk:])
     tails = [(tail % c).rstrip() for c in cells]
+    text = _lines((_columns(widths) % headers).rstrip(), [f"%-{w}d{_GAP}" for w in widths[:nk]],
+                  tails, rows)
     # a blank tail leaves the padding of the key cells at the end of its line
-    return _lines((_columns(widths) % headers).rstrip(), [f"%-{w}d{_GAP}" for w in widths[:nk]],
-                  tails, rows, strip=nk > 0 and not all(tails))
+    return "\n".join(map(str.rstrip, text.split("\n"))) if nk and not all(tails) else text
 
 
 def render_csv(rows: Rows) -> str:
@@ -291,52 +298,30 @@ def render_csv(rows: Rows) -> str:
     return _lines(",".join(headers), ["%d,"] * len(rows.keys), [",".join(c) for c in cells], rows)
 
 
-def render_json(payload) -> str:
+def render_json(payload: dict) -> str:
     """json.dumps(payload, indent=2) + "\n", byte for byte, a Rows written as
-    the list of its rows' objects.  payload is built from dicts with str
-    keys, lists, tuples, str, int (bool included), None and Rows; any other
-    type is a TypeError.  Strings are escaped to ASCII by the json module's
-    C encoder."""
-    return _json(payload, "") + "\n"
+    the list of its rows' objects.  payload is a dict with str keys whose
+    values are Rows or what the json module encodes; a set or bytes is a
+    TypeError.  Every plain value goes through _encode, re-indented at its
+    depth."""
+    items = [f"  {_encode(k)}: " + (_json_rows(v) if isinstance(v, Rows)
+                                    else _encode(v).replace("\n", "\n  "))
+             for k, v in payload.items()]
+    return "{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n"
 
 
-def _json(value, indent: str) -> str:
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None or value is True or value is False:
-        return _JSON_CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, Rows):
-        return _json_rows(value, indent) if value.index else "[]"
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in value.items())
-        return "{\n" + items + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + "\n" + indent + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _json_rows(rows: Rows, indent: str) -> str:
-    """The objects of rows through one template, their key values put in
-    and each distinct tail written once."""
-    inner, cell = indent + "  ", indent + "    "
-    nk = len(rows.keys)
-    head = "".join(f"{cell}{_quote(f).replace('%', '%%')}: %d,\n" for f in rows.fields[:nk])
-    template = f"{inner}{{\n{head}%s\n{inner}}}"
-    tails = [",\n".join(f"{cell}{_quote(f)}: {_json(v, cell)}"
-                        for f, v in zip(rows.fields[nk:], t)) for t in rows.tails]
-    keys = [map(values.__getitem__, positions) for values, positions in rows.keys]
-    objects = map(template.__mod__, zip(*keys, map(tails.__getitem__, rows.index)))
-    return "[\n" + ",\n".join(objects) + "\n" + indent + "]"
+def _json_rows(rows: Rows) -> str:
+    """The list of rows' objects, at the depth of a payload value, laid out
+    by _lines: end closes each object and opens the next, and is cut after
+    the last."""
+    if not rows.index:
+        return "[]"
+    nk, end = len(rows.keys), "\n    },\n    {\n"
+    names = [f"      {_encode(f)}: " for f in rows.fields]
+    tails = [",\n".join(n + _encode(v).replace("\n", "\n      ") for n, v in zip(names[nk:], t))
+             for t in rows.tails]
+    keys = [n.replace("%", "%%") + "%d,\n" for n in names[:nk]]
+    return _lines("[\n    {", keys, tails, rows, end)[:-len(end)] + "\n    }\n  ]"
 
 
 def emit(fmt: str, result: Result) -> None:
@@ -659,14 +644,17 @@ def entry():
     needs nothing.  A profiler or tracer writes its report at exit, so with
     one active, or when the stderr flush fails, the process ends through
     sys.exit.  A stdout that cannot be written, a pipe whose reader left or
-    a full disk, ends the call with exit 1 and one error line."""
+    a full disk, ends the call with exit 1 and one error line, and so does
+    a process started with stdout closed, before the call runs."""
     try:
+        if sys.stdout is None:  # what Python makes of a closed file descriptor 1
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = main()
         sys.stdout.flush()
     except OSError as exc:
         # the rest of the output is dropped: the buffer now drains into
         # /dev/null, so the interpreter's flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         code = EXIT_FAILED
         print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
     try:

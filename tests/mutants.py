@@ -33,6 +33,10 @@ Mutant = namedtuple("Mutant", ["name", "file", "old", "new", "tests"])
 
 CLI = "src/iwaspectra/cli.py"
 ENTRY = "tests/test_cli.py::TestEntry::"
+# a Rows in JSON: parsed back, and in every growth-ladder call; the
+# hypothesis property of TestRenderJson fails too, but shrinks for 100 s
+JSON_ROWS = ("tests/test_cli.py::TestGrowth::test_json_payload",
+             "tests/test_cli.py::TestBenchReferences::test_growth_ladder_pool_is_byte_identical")
 
 MUTANTS = (
     Mutant("entry-without-flush", CLI,
@@ -49,7 +53,7 @@ MUTANTS = (
            tuple(ENTRY + f"test_{case}_is_exit_1[{route}]"
                  for case in ("closed_pipe", "full_disk") for route in ("exit", "traced"))),
     Mutant("entry-keeps-unwritten-output", CLI,
-           "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+           "        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)\n",
            "",
            (ENTRY + "test_full_disk_is_exit_1[traced]",)),
     Mutant("entry-fast-exit-drops-code", CLI,
@@ -58,6 +62,10 @@ MUTANTS = (
            (ENTRY + "test_each_failure_writes_one_error_line[lambda-zero]",
             ENTRY + "test_each_failure_writes_one_error_line[broken-file]",
             ENTRY + "test_each_failure_writes_one_error_line[bad-prime]")),
+    Mutant("entry-without-closed-stdout-check", CLI,
+           "        if sys.stdout is None:",
+           "        if False:",
+           tuple(ENTRY + f"test_closed_stdout_is_exit_1[{r}]" for r in ("exit", "traced"))),
     Mutant("imc-exit-ignores-mismatches", CLI,
            "    return EXIT_FAILED if mismatches else EXIT_OK\n",
            "    return EXIT_OK\n",
@@ -66,6 +74,23 @@ MUTANTS = (
            "else (min(values), max(values))",
            "else (max(values),)",
            ("tests/test_cli.py::TestRenderTable::test_matches_the_ljust_renderer",)),
+    Mutant("table-keeps-key-padding-of-blank-tails", CLI,
+           " if nk and not all(tails) else text\n",
+           " if False else text\n",
+           ("tests/test_cli.py::TestRenderTable::test_contract_examples",
+            "tests/test_cli.py::TestRenderTable::test_matches_the_ljust_renderer")),
+    Mutant("lines-ignore-end", CLI,
+           "[t + end for t in tails]",
+           "[t + \"\\n\" for t in tails]",
+           JSON_ROWS),
+    Mutant("json-keeps-last-object-separator", CLI,
+           "rows, end)[:-len(end)]",
+           "rows, end)",
+           JSON_ROWS),
+    Mutant("json-object-separator-without-comma", CLI,
+           "end = len(rows.keys), \"\\n    },\\n",
+           "end = len(rows.keys), \"\\n    }\\n",
+           JSON_ROWS),
     # hung tests/test_k1.py for 600 s while _special_exponent(p, 0) looped;
     # it raises ZeroInput since
     Mutant("wedge-order-without-t-plus-1", "src/iwaspectra/k1.py",

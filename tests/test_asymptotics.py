@@ -58,10 +58,10 @@ class TestGradedAverage:
             graded_average(FiniteSpectrumData(3, {0: 1}, {1: "a"}), 0, 4)
 
     def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            graded_average(S0_3, 0, 0)
-        with pytest.raises(ValueError):
-            graded_average(S0_3, 0.5, 4)
+        # a bool is an int to isinstance, but no window length or skip
+        for skip, length in ((0, 0), (0.5, 4), (True, 4), (0, True), (0, 4.0)):
+            with pytest.raises(ValueError):
+                graded_average(S0_3, skip, length)
 
     def test_empty_spectrum_averages_zero(self):
         assert graded_average(FiniteSpectrumData(3, {}), -5, 17).value == 0
@@ -205,8 +205,9 @@ class TestSkipAndLadder:
     def test_ladder(self):
         assert ladder(3, 2) == [4, 12, 36]
         assert ladder(5, 0) == [8]
-        with pytest.raises(ValueError):
-            ladder(3, -1)
+        for rungs in (-1, True, 1.0):
+            with pytest.raises(ValueError):
+                ladder(3, rungs)
 
 
 class TestGrowthRatio:

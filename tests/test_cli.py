@@ -457,12 +457,13 @@ json_values = st.recursive(
 
 
 class TestRenderJson:
-    """render_json against the json module's indent-2 encoder."""
+    """render_json of dict payloads against the json module's indent-2
+    encoder."""
 
-    @given(value=json_values)
+    @given(payload=st.dictionaries(any_text, json_values, max_size=4))
     @settings(max_examples=300, deadline=None)
-    def test_matches_json_dumps(self, value):
-        assert cli.render_json(value) == json.dumps(value, indent=2) + "\n"
+    def test_matches_json_dumps(self, payload):
+        assert cli.render_json(payload) == json.dumps(payload, indent=2) + "\n"
 
     @given(data=st.data(), head=json_values,
            fields=st.lists(any_text | st.sampled_from(["%", "%s", "a%%b"]), min_size=1,
@@ -475,13 +476,13 @@ class TestRenderJson:
         rows, _ = data.draw(keyed_rows(fields, st.sampled_from(pool) | st.integers()))
         dicts = [dict(zip(fields, [*(v[ix[r]] for v, ix in rows.keys), *rows.tails[k]]))
                  for r, k in enumerate(rows.index)]
-        for wrap in (lambda v: {"head": head, "rows": v}, lambda v: [head, [v]]):
+        for wrap in (lambda v: {"head": head, "rows": v}, lambda v: {"rows": v}):
             assert cli.render_json(wrap(rows)) == json.dumps(wrap(dicts), indent=2) + "\n"
 
     def test_other_types_are_refused(self):
-        for value in (1.5, {"x": {1, 2}}, [b"x"]):
+        for payload in ({"x": {1, 2}}, {"x": [b"x"]}):
             with pytest.raises(TypeError):
-                cli.render_json(value)
+                cli.render_json(payload)
 
 
 class TestFailureModes:
@@ -512,6 +513,7 @@ class TestFailureModes:
             {"p": 3, "betti": {"0": 1}, "torsion": {"1": "a"}},  # torsion not a list
             {"p": 3, "betti": {"0": 1}, "extra": True},   # unknown key
             {"p": 3, "betti": {"0": 1}, "name": 7},       # non-string name
+            {"p": 3, "betti": {"0": 1}, "name": "bad \ud800 name"},  # no UTF-8 for a surrogate
             {"p": "3", "betti": {"0": 1}},                # non-integer p
             {"p": 3, "betti": {"1_0": 1}},                # digit grouping
             {"p": 3, "betti": {" 2 ": 1}},                # padded degree
@@ -904,6 +906,17 @@ class TestEntry:
         assert_one_error_line(stderr)
         assert b"Broken pipe" in stderr
 
+    @pytest.mark.parametrize("route", ["exit", "traced"])
+    def test_closed_stdout_is_exit_1(self, route):
+        # Python starts with sys.stdout None when file descriptor 1 is closed
+        args = ["-m", "iwaspectra.cli"] if route == "exit" else ["-c", TRACED]
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, *args,
+                               "sphere-table", "-p", "3"],
+                              env=child_env(), stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == cli.EXIT_FAILED
+        assert_one_error_line(proc.stderr)
+        assert b"Bad file descriptor" in proc.stderr
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("route", ["exit", "traced"])
     def test_full_disk_is_exit_1(self, route):
@@ -943,6 +956,11 @@ class TestPrimeOverride:
         assert len(payload["eigenspaces"]) == 12
         assert payload["chi"] == 3
 
+
+def refuse_float(text):
+    raise AssertionError(f"a float in the JSON output: {text}")
+
+
 class TestBenchReferences:
     """Benchmark calls, in-process, against the exit code and stdout digest
     recorded in bench/references.json."""
@@ -965,6 +983,9 @@ class TestBenchReferences:
                 code = cli.main(list(call.argv))
             digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
             assert [code, digest] == references[call.key], call.argv
+            if code == 0 and "json" in call.argv:
+                # every value is exact: an int, a string or a constant
+                json.loads(out.getvalue(), parse_float=refuse_float)
 
     def test_cli_corpus_pool_is_byte_identical(self, tmp_path, workloads):
         calls = workloads.pool("cli-corpus", tmp_path, CORPUS)
