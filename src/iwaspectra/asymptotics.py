@@ -23,8 +23,8 @@ plus a correction at its special degrees j = d + 2(p-1)k - 1 (k != 0), where
 valuation class v = nu_p(k).  The k in range with nu_p(k) >= v are counted by
 floor divisions until one k is left, whose exponent is read directly, so one
 window of length n costs O(cells * log_p n) big-integer steps.  Everything
-here is exact rational arithmetic, except the final growth ratio, which
-divides by a float logarithm.
+here is exact integer arithmetic, an average being its window sum over its
+length, except the final growth ratio, which divides by a float logarithm.
 
 On a ladder window, of length N = 2(p-1)p^n, the sum has a closed form of
 its own.  The window holds p^n consecutive special indices k of each cell d,
@@ -64,8 +64,9 @@ class LambdaZero(ValueError):
     """total_lambda(X) = 0, so the growth ratio is undefined."""
 
 
-# the exact average value over the window skip+1 .. skip+length
-GradedAverage = namedtuple("GradedAverage", ["skip", "length", "value"])
+# the exact average over the window skip+1 .. skip+length: total / length,
+# total the integer sum over the window
+GradedAverage = namedtuple("GradedAverage", ["skip", "length", "total"])
 
 
 def _excess_sum(p: int, lo: int, hi: int, excess: list[int]) -> int:
@@ -113,11 +114,7 @@ def graded_average(X: FiniteSpectrumData, skip: int, length: int) -> GradedAvera
         special = (_excess_sum(p, max(lo, 1), hi, excess)
                    + _excess_sum(p, max(-hi, 1), -lo, excess))
         total += r * (alternating - special if d % 2 == 0 else alternating + special)
-    # imported here, not at the top: fractions pulls in decimal, which the
-    # subcommands that never take an average should not pay for at start
-    from fractions import Fraction
-
-    return GradedAverage(skip, length, Fraction(total, length))
+    return GradedAverage(skip, length, total)
 
 
 def default_skip(X: FiniteSpectrumData) -> int:
@@ -141,9 +138,10 @@ def growth_ratio(average: GradedAverage, lam: int, p) -> float:
     """Observed value of average, the GradedAverage of a window of some
     spectrum X, divided by the predicted -lam/2 * log_p(length), where lam
     is total_lambda(X).  The one place floats enter; everything upstream is
-    exact."""
+    exact.  total / length is int true division, correctly rounded, so it
+    is float(Fraction(total, length)) and overflows where that does."""
     if lam == 0:
         raise LambdaZero("total lambda is 0; the growth ratio is undefined")
     if average.length < 2:
         raise ValueError("growth ratio needs a window of length >= 2")
-    return float(average.value) / (-lam * math.log(average.length, p) / 2)
+    return average.total / average.length / (-lam * math.log(average.length, p) / 2)

@@ -223,6 +223,13 @@ def val_json(value):
     return "inf" if value == math.inf else value
 
 
+def fraction_text(total: int, length: int) -> str:
+    """total / length (length >= 1) in lowest terms, as str(Fraction) prints
+    it: n, or n/d with d > 1 and the sign on n."""
+    g = math.gcd(total, length)
+    return str(total // g) if g == length else f"{total // g}/{length // g}"
+
+
 _GAP = "  "
 
 
@@ -402,8 +409,10 @@ def cmd_invariants(args) -> int:
     window = degree_window(X)
     chi, lam = euler_characteristic(X), total_lambda(X)
     shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
+    # a name holding a line break or a terminal escape leads as its repr, on one line
+    lead_name = repr(name) if name and not name.isprintable() else name or "-"
     emit(args.format, Result(
-        f"name: {name or '-'}\np = {p}  chi = {chi}  total_lambda = {lam}\n"
+        f"name: {lead_name}\np = {p}  chi = {chi}  total_lambda = {lam}\n"
         f"degree window: {shown}",
         {"name": name, "p": p, "chi": chi, "total_lambda": lam,
          "alpha": None if window is None else window[0],
@@ -505,7 +514,7 @@ def cmd_growth(args) -> int:
     tails = []
     for k, n in enumerate(lengths):
         average = graded_average(X, skip, n)
-        tail = (skip, str(average.value))
+        tail = (skip, fraction_text(average.total, average.length))
         if not args.average_only:
             try:
                 ratio = growth_ratio(average, lam, X.p)

@@ -91,6 +91,24 @@ MUTANTS = (
            "end = len(rows.keys), \"\\n    },\\n",
            "end = len(rows.keys), \"\\n    }\\n",
            JSON_ROWS),
+    Mutant("average-text-without-gcd", CLI,
+           "    g = math.gcd(total, length)\n",
+           "    g = 1\n",
+           ("tests/test_cli.py::TestAverageText::test_contract_examples",
+            "tests/test_cli.py::TestAverageText::test_average_and_ratio_follow_the_fraction",
+            "tests/test_cli.py::TestGrowth::test_sphere_ladder_contract_example",
+            "tests/test_cli.py::TestBenchReferences::test_growth_ladder_pool_is_byte_identical")),
+    Mutant("average-text-keeps-denominator-1", CLI,
+           "str(total // g) if g == length else",
+           "str(total // g) if False else",
+           ("tests/test_cli.py::TestAverageText::test_contract_examples",
+            "tests/test_cli.py::TestAverageText::test_average_and_ratio_follow_the_fraction",
+            "tests/test_cli.py::TestGrowth::test_json_payload",
+            "tests/test_cli.py::TestBenchReferences::test_growth_ladder_pool_is_byte_identical")),
+    Mutant("invariants-lead-keeps-unprintable-name", CLI,
+           "repr(name) if name and not name.isprintable() else name or \"-\"",
+           "name or \"-\"",
+           ("tests/test_cli.py::TestFailureModes::test_unprintable_name_leads_on_one_line",)),
     # hung tests/test_k1.py for 600 s while _special_exponent(p, 0) looped;
     # it raises ZeroInput since
     Mutant("wedge-order-without-t-plus-1", "src/iwaspectra/k1.py",

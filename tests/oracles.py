@@ -160,6 +160,12 @@ def imc_exceptions(betti) -> set[tuple[int, int]]:
     return exceptions
 
 
+def exact_average(average) -> Fraction:
+    """The value of a GradedAverage, its integer window sum over its length,
+    as the Fraction the oracles below return."""
+    return Fraction(average.total, average.length)
+
+
 def sn_closed_form(p: int, n: int) -> Fraction:
     """The sphere's average over the window 1 .. 2(p-1)p^n: exactly (-1-n)/2,
     for every odd prime p."""

@@ -6,15 +6,17 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iwaspectra.asymptotics as asymptotics
@@ -33,6 +35,8 @@ from iwaspectra.spectra import (
     strip_torsion,
     total_lambda,
 )
+
+from oracles import exact_average, window_average_bruteforce
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -315,6 +319,47 @@ class TestGrowth:
         assert code == 0 and f"-{3 * big + 1}/2" in out
 
 
+class TestAverageText:
+    """cmd_growth prints an average through cli.fraction_text, from the
+    integer window sum and length of its GradedAverage; str(Fraction) is
+    the oracle."""
+
+    def test_contract_examples(self):
+        cases = ((-2, 4, "-1/2"), (-12, 12, "-1"), (0, 5, "0"), (6, 4, "3/2"), (7, 1, "7"),
+                 (-3, 1, "-3"), (-10 ** 30 - 1, 10 ** 30, f"{-10 ** 30 - 1}/{10 ** 30}"))
+        for total, length, text in cases:
+            assert cli.fraction_text(total, length) == text
+
+    @given(total=st.one_of(st.integers(-100, 100), st.integers(-10 ** 40, 10 ** 40)),
+           length=st.one_of(st.integers(1, 100), st.integers(1, 10 ** 40)),
+           scale=st.integers(1, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_str_of_fraction(self, total, length, scale):
+        # scaled, so the pair has a common factor to reduce
+        assert cli.fraction_text(total * scale, length * scale) == str(Fraction(total, length))
+
+    @given(p=st.sampled_from([3, 5, 7, 11, 101]),
+           betti=st.dictionaries(st.integers(-40, 40), st.integers(1, 4), max_size=6),
+           extra=st.one_of(st.integers(0, 40), st.integers(0, 10 ** 30)),
+           length=st.one_of(st.integers(1, 60), st.integers(1, 10 ** 30)))
+    @example(p=3, betti={}, extra=0, length=5)  # a total of 0
+    @example(p=3, betti={0: 1}, extra=0, length=12)  # -1, a reduced denominator of 1
+    @example(p=3, betti={0: 1}, extra=0, length=4)  # -1/2
+    @example(p=5, betti={1: 2}, extra=0, length=8)  # 3, a positive total
+    @settings(max_examples=300, deadline=None)
+    def test_average_and_ratio_follow_the_fraction(self, p, betti, extra, length):
+        X = FiniteSpectrumData(p, betti)
+        average = graded_average(X, default_skip(X) + extra, length)
+        exact = exact_average(average)
+        assert cli.fraction_text(average.total, average.length) == str(exact)
+        if length <= 60 and extra <= 40:
+            assert exact == window_average_bruteforce(p, X.betti, average.skip, length)
+        lam = total_lambda(X)
+        if lam and length >= 2:
+            assert (growth_ratio(average, lam, p)
+                    == float(exact) / (-lam * math.log(length, p) / 2))
+
+
 class TestSphereTable:
     def test_golden_table(self, capsys):
         code, out, _ = run(capsys, "sphere-table", "-p", "3", "--t-range=-2..4")
@@ -531,6 +576,23 @@ class TestFailureModes:
             code, _, err = run(capsys, "invariants", str(path))
             assert code == 2, payload
             assert err.startswith("error:") and err.count("\n") == 1, payload
+
+    def test_unprintable_name_leads_on_one_line(self, capsys, tmp_path):
+        # a line break and a terminal escape; JSON escapes them, CSV prints no name
+        name = "two\nlines\u001b[31mred"
+        path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": 1}, "name": name})
+        code, out, err = run(capsys, "invariants", path)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == r"name: 'two\nlines\x1b[31mred'" and lines[1].startswith("p = 3")
+        assert "\x1b" not in out
+        _, out, _ = run(capsys, "invariants", path, "--format", "json")
+        assert json.loads(out)["name"] == name
+        # a printable name leads as it is, non-ASCII and quotes included
+        for shown in ("Moore M(3) \u00e9 'q'", ""):
+            path = write_spectrum(tmp_path, {"p": 3, "betti": {"0": 1}, "name": shown})
+            _, out, _ = run(capsys, "invariants", path)
+            assert out.splitlines()[0] == f"name: {shown or '-'}"
 
     def test_invalid_prime_is_exit_3(self, capsys, tmp_path):
         path = write_spectrum(tmp_path, {"p": 9, "betti": {"0": 1}})
@@ -783,6 +845,28 @@ class TestStartCost:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    # fractions pulls in decimal, _decimal and numbers, about 3.6 ms a process
+    @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+    def test_calls_skip_fractions_decimal_and_numbers(self, flags):
+        # the modules of the three loaded, as the last line of stderr
+        probe = ("import sys; print(' '.join(sorted({'decimal', 'fractions', 'numbers'} & "
+                 "set(sys.modules))), file=sys.stderr)")
+        calls = [["growth", str(CORPUS / "cp2_p5.json"), "--ladder", "3"],
+                 ["imc", str(CORPUS / "cp2_p5.json"), "--format", "json"],
+                 ["invariants", str(CORPUS / "cp2_p5.json"), "--format", "json"],
+                 ["sphere-table", "-p", "3", "--format", "csv"]]
+        run_calls = ("import iwaspectra.cli as cli\n"
+                     f"assert [cli.main(argv) for argv in {calls!r}] == [0] * {len(calls)}")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        loaded = []
+        for program in ("pass", run_calls):
+            proc = subprocess.run([sys.executable, *flags, "-c", program + "\n" + probe],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            loaded.append(set(proc.stderr.splitlines()[-1].split()))
+        bare, after_calls = loaded
+        assert after_calls <= bare, after_calls - bare
 
 
 class TestIntDigitLimit:
@@ -1080,7 +1164,7 @@ def growth_by_dicts(path, rungs, average_only, fmt) -> str:
     records = []
     for k, n in enumerate(ladder(X.p, rungs)):
         average = graded_average(X, skip, n)
-        record = {"k": k, "n": n, "skip": skip, "average": str(average.value)}
+        record = {"k": k, "n": n, "skip": skip, "average": str(exact_average(average))}
         if not average_only:
             record["ratio"] = f"{growth_ratio(average, lam, X.p):.6f}"
         records.append(record)
