@@ -39,9 +39,9 @@ The sphere case is the one-cell spectrum X = S^{2i}: its window excludes
 only m = -i, where the odd side still compares INFINITE with INFINITE, so
 every odd-side record of a sphere matches.
 
-Both sides are computed by unrelated routes (sphere homotopy table and AHSS
-product on the left, factor-wise polynomial valuation on the right), which is
-the point of the check.
+Both sides group cells by eigenspace (of the dual replacement D on the
+left, of X on the right) and share nothing else: the left still reads the
+sphere table per cell of D, the right evaluates X's polynomials factor-wise.
 """
 
 from __future__ import annotations

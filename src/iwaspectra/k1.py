@@ -11,11 +11,12 @@ the direct sum over cells, so orders multiply: exponents add, scaled by the
 rank of each cell.  One infinite summand makes the whole degree infinite.
 A cell d contributes to degree t only when t - d lies on the sphere's
 support: a Zp-hat when d is t or t + 1, and a cyclic group when 2(p-1)
-divides t - d + 1.  So wedge_order looks up those two degrees, and then
-only the cells at residue (t + 1) mod 2(p-1) in the spectrum's
-cells_by_residue index: O(cells / (p-1) + 1) per degree when the cells
-spread over the residues.  Small exponent sums come back as shared
-instances.
+divides t - d + 1.  Those cells are the factors (i, rank) of one
+eigenspace (see spectra): d = 2i or 2i - 1 has the parity of t + 1 and
+i = (t + 2) // 2 mod p-1.  So wedge_order looks up those two degrees, and
+then reads only that entry of the spectrum's eigenspaces map: O(cells /
+(p-1) + 1) per degree when the cells spread over the eigenspaces.  Small
+exponent sums come back as shared instances.
 """
 
 from __future__ import annotations
@@ -44,48 +45,36 @@ def _refuse_torsion(X: FiniteSpectrumData) -> None:
             "apply the torsion-free replacement first")
 
 
-def _special_index(p: int, t: int):
-    """The sphere table for a checked prime p and an int t: None in the
-    Zp-hat degrees, the nonzero m = (t+1)/(2(p-1)) when pi_t is cyclic of
-    exponent 1 + nu_p(m), which is nu_p((1+p)^m - 1), and 0 when pi_t is
-    trivial."""
-    if t in (-1, 0):
-        return None
-    if t % 2 != 0:
-        m, rem = divmod(t + 1, 2 * (p - 1))
-        if rem == 0:
-            return m
-    return 0
-
-
 def sphere_order(p, t: int) -> PadicValuation:
-    """Exponent of |pi_t| of the K(1)-local sphere at p, per the table above."""
+    """Exponent of |pi_t| of the K(1)-local sphere at p, per the table above.
+    2(p-1) is even, so it divides t + 1 only for odd t; m != 0 as t != -1."""
     p = OddPrime(p)
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError(f"degree must be an int, got {type(t).__name__}")
-    m = _special_index(p, t)
-    if m is None:
+    if t in (-1, 0):
         return INFINITE
-    return one_plus_p_pow_minus_one_valuation(p, m) if m else ZERO
+    m, rem = divmod(t + 1, 2 * (p - 1))
+    return ZERO if rem else one_plus_p_pow_minus_one_valuation(p, m)
 
 
 def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
     """Exponent of |pi_t| of the K(1)-localization of torsion-free X: the sum
     over cells d of rank * sphere_order(p, t - d).  INFINITE when a cell sits
-    at t or t + 1; otherwise only the cells at residue (t + 1) mod 2(p-1)
-    are read, each a special degree t - d = 2(p-1)k - 1 with k != 0, whose
-    exponent 1 + nu_p(k) is 1 unless p divides k.  The exponents are summed
-    as ints and wrapped once."""
+    at t or t + 1; otherwise the sum over the factors (i, r) of the eigenspace
+    (t % 2 - 1, s mod p-1), s = (t + 2) // 2: cell d = 2i + t % 2 - 1 sits at
+    t - d = 2(p-1)k - 1, k = (s - i)/(p-1) != 0, with exponent 1 + nu_p(k)."""
     _refuse_torsion(X)
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError(f"degree must be an int, got {type(t).__name__}")
     if t in X.betti or t + 1 in X.betti:
         return INFINITE
-    p = X.p
-    period = 2 * (p - 1)
+    p, s = X.p, (t + 2) // 2
+    f = X.eigenspaces.get((t % 2 - 1, s % (p - 1)))
+    if f is None:
+        return ZERO
     total = 0
-    for d, r in X.cells_by_residue.get((t + 1) % period, ()):
-        k = (t + 1 - d) // period
+    for i, r in f.factors:
+        k = (s - i) // (p - 1)
         total += r if k % p else _special_exponent(p, k) * r
     return _valuation(total)
 

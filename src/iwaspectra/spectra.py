@@ -16,10 +16,10 @@ even cell in degree 2i contributes exponent i, and an odd cell in degree
 2i-1 contributes exponent i (the suspension-consistent convention).  The
 map of nonzero eigenspace polynomials, FiniteSpectrumData.eigenspaces, is
 built once per spectrum, in one pass over its cells, the first time it is
-read; eigenspace_charpoly and total_lambda only read it.  The same holds
-for FiniteSpectrumData.cells_by_residue, the cells grouped by degree mod
-2(p-1), which k1.wedge_order reads.  betti and torsion are read-only
-mappings, so neither can go stale.
+read; eigenspace_charpoly, total_lambda and k1.wedge_order only read it.
+It is the one index a spectrum keeps: the cells at one degree mod 2(p-1)
+are the factors of one eigenspace.  betti and torsion are read-only
+mappings, so the map cannot go stale.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class PrimeMismatch(ValueError):
 class FiniteSpectrumData(Immutable):
     """Cell ranks (degree -> rank >= 1) and torsion markers (degree -> label)
     at the odd prime p, both held sorted by degree in read-only mappings.
-    Instances keep a __dict__ for the cached eigenspace map and cell index."""
+    Instances keep a __dict__ for the cached eigenspace map."""
 
     _fields = ("p", "betti", "torsion")
 
@@ -74,17 +74,6 @@ class FiniteSpectrumData(Immutable):
             i = (d + 1) // 2  # i both for d = 2i and for d = 2i - 1
             factors.setdefault((0 if d % 2 == 0 else -1, i % (self.p - 1)), []).append((i, r))
         return MappingProxyType({key: CharPoly(self.p, tuple(f)) for key, f in factors.items()})
-
-    @cached_property
-    def cells_by_residue(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
-        """The cells (d, rank) grouped by d mod 2(p-1), each group in degree
-        order; only the residues that hold a cell are keys.  Built in one
-        pass over the cells; not a field, so equality and repr ignore it."""
-        period = 2 * (self.p - 1)
-        cells: dict[int, list[tuple[int, int]]] = {}
-        for d, r in self.betti.items():
-            cells.setdefault(d % period, []).append((d, r))
-        return MappingProxyType({k: tuple(c) for k, c in cells.items()})
 
 
 def eigenspace_keys(p) -> tuple[tuple[int, int], ...]:

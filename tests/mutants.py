@@ -12,7 +12,7 @@ outlives the timeout is reported as a hang, which counts as caught.  The
 exit code is 1 when any mutant survives or its tests cannot run, else 0.
 This takes a few seconds per mutant, so it is not part of the test suite;
 tests/test_mutants.py checks only that each old text still occurs exactly
-once in its file.
+once in its file and that the mutated file still compiles.
 """
 
 from __future__ import annotations
@@ -122,6 +122,16 @@ MUTANTS = (
            "        total += r\n",
            ("tests/test_k1.py::TestWedgeOrder::test_per_cell_bruteforce_oracle",
             "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan")),
+    Mutant("wedge-order-parity-swapped", "src/iwaspectra/k1.py",
+           "X.eigenspaces.get((t % 2 - 1, s % (p - 1)))",
+           "X.eigenspaces.get((-(t % 2), s % (p - 1)))",
+           ("tests/test_k1.py::TestWedgeOrder::test_contract_examples",)),
+    Mutant("eigenspaces-odd-cell-exponent", "src/iwaspectra/spectra.py",
+           "            i = (d + 1) // 2  # i both for d = 2i and for d = 2i - 1\n",
+           "            i = d // 2\n",
+           ("tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
+            "tests/test_k1.py::TestWedgeOrder::test_per_cell_bruteforce_oracle",
+            "tests/test_spectra.py::TestEigenspaceMap::test_lookup_matches_cell_scan")),
     Mutant("evaluate-valuation-exponent-always-1", "src/iwaspectra/iwalg.py",
            "        total += mult if (s - i) % p else _special_exponent(p, s - i) * mult\n",
            "        total += mult\n",

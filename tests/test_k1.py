@@ -21,6 +21,11 @@ CP2 = {0: 1, 2: 1, 4: 1}
 
 odd_primes = st.sampled_from([3, 5, 7])
 
+# each range reaches past 2(p-1)p - 1, the first degree of exponent 2, and
+# its negative
+SPHERE_DEGREES = [(p, range(-60, 301)) for p in (3, 5, 7)] + [
+    (p, range(-2 * (p - 1) * p - 60, 2 * (p - 1) * p + 61)) for p in (11, 101)]
+
 
 class TestSphereOrder:
     def test_contract_examples(self):
@@ -41,14 +46,14 @@ class TestSphereOrder:
         assert sphere_order(5, 0) is INFINITE
 
     def test_matches_bruteforce_search(self):
-        for p in (3, 5, 7):
-            for t in range(-60, 301):
+        for p, degrees in SPHERE_DEGREES:
+            for t in degrees:
                 assert (sphere_order(p, t).value
                         == sphere_exponent_bruteforce(p, t)), (p, t)
 
     def test_trivial_off_the_congruence(self):
-        for p in (3, 5, 7):
-            for t in range(-60, 301):
+        for p, degrees in SPHERE_DEGREES:
+            for t in degrees:
                 if t in (-1, 0):
                     continue
                 if t % 2 == 0 or (t + 1) % (2 * (p - 1)) != 0:

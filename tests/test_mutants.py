@@ -1,6 +1,7 @@
 """The mutant table of tests/mutants.py stays applicable: each mutant's old
-text occurs exactly once in its file, and each test it names exists.
-Running the mutants themselves is `python tests/mutants.py`."""
+text occurs exactly once in its file, the mutated file compiles, and each
+test it names exists.  Running the mutants themselves is
+`python tests/mutants.py`."""
 
 import re
 
@@ -13,6 +14,14 @@ from mutants import MUTANTS, ROOT
 def test_old_text_occurs_once(mutant):
     assert mutant.file.startswith("src/")
     assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutated_file_compiles(mutant):
+    # a mutant that breaks the syntax would fail every test it names for
+    # the wrong reason; the runner reports it only as an error
+    text = (ROOT / mutant.file).read_text().replace(mutant.old, mutant.new)
+    compile(text, mutant.file, "exec")
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)

@@ -67,15 +67,10 @@ class TestData:
             X.torsion[1] = "b"
         with pytest.raises(TypeError):
             X.eigenspaces[(0, 0)] = CharPoly(3)
-        with pytest.raises(TypeError):
-            X.cells_by_residue[0] = ((0, 2),)
-        with pytest.raises(AttributeError):
-            X.cells_by_residue[0].append((4, 1))
         betti[4] = 1
         torsion[3] = "b"
         assert X == FiniteSpectrumData(3, {0: 1, 2: 1}, {1: "a"})
         assert total_lambda(X) == 2
-        assert X.cells_by_residue == {0: ((0, 1),), 2: ((2, 1),)}
 
 
 class TestEulerCharacteristic:
@@ -233,13 +228,6 @@ class TestEigenspaceMap:
         assert all(f.factors for f in X.eigenspaces.values())
         assert set(X.eigenspaces) <= set(eigenspace_keys(p))
         assert total_lambda(X) == long_sum
-        # the cell index: every cell once, at its degree mod 2(p-1), in
-        # degree order, and no empty residue
-        index = X.cells_by_residue
-        assert sorted(c for cells in index.values() for c in cells) == sorted(X.betti.items())
-        for residue, cells in index.items():
-            assert cells and all(d % (2 * (p - 1)) == residue for d, _ in cells)
-            assert list(cells) == sorted(cells)
         assert X == FiniteSpectrumData(X.p, dict(X.betti), dict(X.torsion))
         assert repr(X) == before
 
