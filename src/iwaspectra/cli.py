@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: invariants, imc, growth, sphere-table.  Output is plain text,
-CSV or JSON (--format, default from the IWASPECTRA_FORMAT environment
-variable, else table) and is byte-identical across runs.  Exit codes: 0 on
+CSV or JSON (--format, default table) and depends on the arguments and
+the files they name alone, byte for byte.  Exit codes: 0 on
 success, 1 when an in-window main-conjecture record mismatches (or a growth
 ratio is undefined), 2 on spectrum-file or argument parse errors (among
 them an integer of more than MAX_DIGITS digits), on an invariants, imc or
@@ -52,7 +52,6 @@ from .spectra import (
 )
 from .imc import verify_weak_imc
 
-FORMAT_ENV_VAR = "IWASPECTRA_FORMAT"
 FORMATS = ("table", "csv", "json")
 
 EXIT_OK = 0
@@ -73,14 +72,14 @@ MAX_RANGE = 100000
 
 # invariants prints no integer of more than this many digits, Python's
 # default limit for int-to-str conversion: a cell at degree 2i or 2i - 1
-# puts (1+p)^|i| into its charpoly, and --precision N makes residues below
-# p^N.  main() sets the interpreter's limit to it whatever
+# puts (1+p)^|i| into its charpoly (a residue below p^64 has at most 321
+# under the row cap).  main() sets the interpreter's limit to it whatever
 # PYTHONINTMAXSTRDIGITS says, so no parse is longer than the guards allow
 MAX_DIGITS = 4300
 
 # invariants --format json expands an eigenspace polynomial of degree lambda
-# in about lambda**2 / 2 products of residues below p^N (N = --precision),
-# each 7-18 ns * w**2 on a 2-vCPU VM, w = 3 + bit_length(p^N) // 64; the
+# in about lambda**2 / 2 products of residues below p^64 (DEFAULT_PRECISION),
+# each 7-18 ns * w**2 on a 2-vCPU VM, w = 3 + bit_length(p^64) // 64; the
 # sum of lambda**2 * w**2 over the eigenspaces stays at most this, which
 # took 0.7-3.6 s at the cap
 MAX_EXPANSION = 4 * 10 ** 8
@@ -351,15 +350,14 @@ INVARIANTS_FIELDS = ("degree", "j", "lambda", "mu", "factors", "charpoly", "coef
 
 
 def _digits_above_cap(base: int, exponent: int) -> bool:
-    """Whether base**exponent has more than MAX_DIGITS digits, decided
-    without forming it: it has floor(exponent * log10(base)) + 1 digits,
-    since no power of an odd prime or of one more than it is a power of 10.
-    The int-to-float comparison is exact for any size of exponent."""
+    """Whether base**exponent, base one more than an odd prime, has more
+    than MAX_DIGITS digits, decided without forming it: it has
+    floor(exponent * log10(base)) + 1 digits, as no power of base is a
+    power of 10.  The int-to-float comparison is exact for any exponent."""
     return exponent >= MAX_DIGITS / math.log10(base)
 
 
-def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int,
-                          expand: bool) -> None:
+def check_invariants_size(path: str, X: FiniteSpectrumData, expand: bool) -> None:
     """Refuse, before any row is built, an invariants call whose 2(p-1)
     rows outnumber the records of an imc call at MAX_RANGE, or whose output
     would need an integer of more than MAX_DIGITS digits, and, when the
@@ -371,27 +369,22 @@ def check_invariants_size(path: str, X: FiniteSpectrumData, precision: int,
     cap = 10 ** MAX_DIGITS
     if abs(total_lambda(X)) >= cap or any(f.degree >= cap for f in X.eigenspaces.values()):
         raise OutputTooLarge(f"{path}: a lambda has more than {MAX_DIGITS} digits")
-    if _digits_above_cap(X.p, precision):
-        raise OutputTooLarge(
-            f"--precision {precision}: {X.p}^{precision} has more than {MAX_DIGITS} digits")
     for d in X.betti:
         i = (d + 1) // 2  # the factor exponent of a cell at 2i or 2i - 1
         if _digits_above_cap(X.p + 1, abs(i)):
             raise OutputTooLarge(
                 f"{path}: cell degree {d} puts {X.p + 1}^{abs(i)} into a charpoly, "
                 f"more than {MAX_DIGITS} digits")
-    # p^precision has at most MAX_DIGITS digits here
-    width = 3 + (X.p ** precision).bit_length() // 64
+    width = 3 + (X.p ** DEFAULT_PRECISION).bit_length() // 64
     if expand and sum(f.degree ** 2 for f in X.eigenspaces.values()) * width ** 2 > MAX_EXPANSION:
-        raise OutputTooLarge(
-            f"{path}: expanding the coefficients mod {X.p}^{precision} is past the work cap; "
-            "lower --precision or use another --format")
+        raise OutputTooLarge(f"{path}: expanding the coefficients mod {X.p}^{DEFAULT_PRECISION} "
+                             "is past the work cap; use another --format")
 
 
 def cmd_invariants(args) -> int:
     name, X = load_spectrum_file(args.file, args.prime_override)
     expand = args.format == "json"
-    check_invariants_size(args.file, X, args.precision, expand)
+    check_invariants_size(args.file, X, expand)
     # one tail per distinct eigenspace polynomial, the constant 1 first, read
     # from the sparse eigenspace map: most of the 2(p-1) rows are 1 when p is
     # large.  The cells of the constant 1, 0, 0 and "1", are narrower than
@@ -405,7 +398,7 @@ def cmd_invariants(args) -> int:
             polys.append(f)
         index[j - degree * (p - 1)] = k
     tails = [(f.degree, f.mu, [[i, mult] for i, mult in f.factors], format_charpoly(f),
-              coefficients_mod(f, args.precision) if expand else None) for f in polys]
+              coefficients_mod(f) if expand else None) for f in polys]
     window = degree_window(X)
     chi, lam = euler_characteristic(X), total_lambda(X)
     shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
@@ -417,7 +410,7 @@ def cmd_invariants(args) -> int:
         {"name": name, "p": p, "chi": chi, "total_lambda": lam,
          "alpha": None if window is None else window[0],
          "beta": None if window is None else window[1],
-         "precision": args.precision,
+         "precision": DEFAULT_PRECISION,
          # the degree positions as bytes, a sequence of small ints that
          # costs one byte per row
          "eigenspaces": Rows(INVARIANTS_FIELDS,
@@ -585,17 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="iwaspectra",
         description="Iwasawa invariants and K(1)-local homotopy orders of finite spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
-    default_format = os.environ.get(FORMAT_ENV_VAR, "table")
 
     def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default=default_format,
-                       help=f"output format (default from ${FORMAT_ENV_VAR}, else table)")
+        p.add_argument("--format", choices=FORMATS, default="table", help="output format")
 
     p_inv = sub.add_parser("invariants", help="eigenspace lambda/mu and charpolys of a spectrum")
     p_inv.add_argument("file", help="spectrum description JSON")
     p_inv.add_argument("--prime-override", type=_int_arg(), default=None, metavar="P")
-    p_inv.add_argument("--precision", type=_int_arg(1), default=DEFAULT_PRECISION, metavar="N",
-                       help="p-adic digits for expanded coefficients (default %(default)s)")
     add_format(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
@@ -631,9 +620,6 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(MAX_DIGITS)  # before parse_args: the integer flags
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format not in FORMATS:
-        print(f"error: invalid format {args.format!r} (from ${FORMAT_ENV_VAR}?)", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.func(args)
     except (SpectrumFileError, OutputTooLarge) as exc:

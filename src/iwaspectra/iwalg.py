@@ -48,7 +48,8 @@ class CharPoly(Immutable):
         object.__setattr__(self, "p", OddPrime(self.p))
         merged: dict[int, int] = {}
         for i, mult in self.factors:
-            if not isinstance(i, int) or not isinstance(mult, int) or mult < 1:
+            if (not isinstance(i, int) or not isinstance(mult, int) or mult < 1
+                    or bool in (i.__class__, mult.__class__)):
                 raise ValueError(f"bad factor {(i, mult)!r}: need integer i and multiplicity >= 1")
             merged[i] = merged.get(i, 0) + mult
         object.__setattr__(self, "factors", tuple(sorted(merged.items())))

@@ -114,6 +114,8 @@ def wedge(X: FiniteSpectrumData, Y: FiniteSpectrumData) -> FiniteSpectrumData:
 
 
 def suspend(X: FiniteSpectrumData, k: int = 1) -> FiniteSpectrumData:
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"k must be an int, got {type(k).__name__}")
     return FiniteSpectrumData(
         X.p,
         {d + k: r for d, r in X.betti.items()},
@@ -132,7 +134,7 @@ def eigenspace_charpoly(X: FiniteSpectrumData, key) -> CharPoly:
     from X.eigenspaces.  Any integer j is accepted and reduced mod p-1; a
     zero eigenspace is the shared constant polynomial 1."""
     degree, j = key
-    if degree not in (0, -1):
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree not in (0, -1):
         raise ValueError(f"cohomological degree must be 0 or -1, got {degree!r}")
     if not isinstance(j, int) or isinstance(j, bool):
         raise ValueError(f"eigenspace weight must be an int, got {j!r}")

@@ -105,6 +105,10 @@ MUTANTS = (
             "tests/test_cli.py::TestAverageText::test_average_and_ratio_follow_the_fraction",
             "tests/test_cli.py::TestGrowth::test_json_payload",
             "tests/test_cli.py::TestBenchReferences::test_growth_ladder_pool_is_byte_identical")),
+    Mutant("expansion-width-without-default-precision", CLI,
+           "(X.p ** DEFAULT_PRECISION).bit_length() // 64",
+           "(X.p ** DEFAULT_PRECISION).bit_length() // 32",
+           ("tests/test_cli.py::TestFailureModes::test_expansion_cap_counts_degree_and_width",)),
     Mutant("invariants-lead-keeps-unprintable-name", CLI,
            "repr(name) if name and not name.isprintable() else name or \"-\"",
            "name or \"-\"",
@@ -136,6 +140,10 @@ MUTANTS = (
            "        total += mult if (s - i) % p else _special_exponent(p, s - i) * mult\n",
            "        total += mult\n",
            ("tests/test_iwalg.py::TestEvaluateValuation::test_factor_route_matches_exact_route",)),
+    Mutant("charpoly-accepts-bool-factors", "src/iwaspectra/iwalg.py",
+           "\n                    or bool in (i.__class__, mult.__class__)):",
+           "):",
+           ("tests/test_iwalg.py::TestCharPoly::test_rejects_bad_factors",)),
     Mutant("imc-eigenspaces-swapped", "src/iwaspectra/imc.py",
            "(eigenspace_charpoly(X, (0, j)), eigenspace_charpoly(X, (-1, j)))",
            "(eigenspace_charpoly(X, (-1, j)), eigenspace_charpoly(X, (0, j)))",

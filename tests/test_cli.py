@@ -1,5 +1,6 @@
 """Command line behavior: golden outputs, formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -95,13 +96,14 @@ class TestInvariants:
         assert first["factors"] == [[0, 1]]
         assert first["coefficients_mod"] == [0, 1]
 
-    def test_precision_flag_changes_residues(self, capsys):
-        _, out, _ = run(capsys, "invariants", str(CORPUS / "cp2_p5.json"),
-                        "--precision", "2", "--format", "json")
-        payload = json.loads(out)
-        assert payload["precision"] == 2
-        eps1 = payload["eigenspaces"][1]
-        assert eps1["coefficients_mod"] == [(-5) % 25, 1]
+    def test_precision_flag_is_a_usage_error(self, capsys):
+        # the expansion is always mod p^64; no flag sets it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["invariants", str(CORPUS / "cp2_p5.json"), "--precision", "3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1
+        assert err.count("unrecognized arguments: --precision 3") == 1
 
     def test_whole_corpus_loads_and_balances(self, capsys):
         for path in sorted(CORPUS.glob("*.json")):
@@ -737,53 +739,30 @@ class TestFailureModes:
         code, out, err = run(capsys, "invariants", path, "--format", "json")
         assert code == 2 and out == ""
         assert err == (f"error: {path}: expanding the coefficients mod 3^64 is past the work "
-                       "cap; lower --precision or use another --format\n")
+                       "cap; use another --format\n")
 
     def test_expansion_cap_counts_degree_and_width(self):
-        # at p = 3 and --precision 1 a residue takes w = 3 words: lambda^2 * 9
-        # is the cost, so lambda = 6666 is the last degree under the cap
+        # 3^64 has 102 bits, so a residue takes w = 3 + 102 // 64 = 4 words:
+        # lambda^2 * 16 is the cost, and lambda = 5000 is the last degree
+        # under the cap
         assert cli.MAX_EXPANSION == 4 * 10 ** 8
-        cli.check_invariants_size("x", FiniteSpectrumData(3, {0: 6666}), 1, expand=True)
-        X = FiniteSpectrumData(3, {0: 6667})
-        cli.check_invariants_size("x", X, 1, expand=False)
+        cli.check_invariants_size("x", FiniteSpectrumData(3, {0: 5000}), expand=True)
+        X = FiniteSpectrumData(3, {0: 5001})
+        cli.check_invariants_size("x", X, expand=False)
         with pytest.raises(cli.OutputTooLarge, match="work cap"):
-            cli.check_invariants_size("x", X, 1, expand=True)
-        # split over two eigenspaces, the squares add: 2 * 4715^2 > cap / 9
-        X = FiniteSpectrumData(3, {0: 4715, 1: 4715})
+            cli.check_invariants_size("x", X, expand=True)
+        # split over two eigenspaces, the squares add: 2 * 3535^2 <= cap / 16
+        # < 2 * 3536^2
+        cli.check_invariants_size("x", FiniteSpectrumData(3, {0: 3535, 1: 3535}), expand=True)
         with pytest.raises(cli.OutputTooLarge, match="work cap"):
-            cli.check_invariants_size("x", X, 1, expand=True)
-        # p^64 at p = 3 has 102 bits, so w = 4 and lambda = 5000 is the last
-        cli.check_invariants_size("x", FiniteSpectrumData(3, {0: 5000}), 64, expand=True)
-        with pytest.raises(cli.OutputTooLarge, match="work cap"):
-            cli.check_invariants_size("x", FiniteSpectrumData(3, {0: 5001}), 64, expand=True)
-
-    @pytest.mark.parametrize("fmt", cli.FORMATS)
-    def test_unprintable_precision_is_exit_2(self, capsys, monkeypatch, fmt):
-        # residues mod 7^N: 7^5088 has 4300 digits, 7^5089 has 4301; the
-        # cell at -4 has a root with denominator 8^2, so its residues fill
-        # nearly all of them
-        spec = str(CORPUS / "s_minus4_p7.json")
-        code, out, err = run(capsys, "invariants", spec, "--precision", "5088", "--format", "json")
-        assert code == 0 and err == ""
-        residues = [c for row in json.loads(out)["eigenspaces"] for c in row["coefficients_mod"]]
-        assert 4290 < max(len(str(c)) for c in residues) <= 4300
-
-        def never(*_):
-            raise AssertionError("an oversized precision reached the computation")
-
-        monkeypatch.setattr(cli, "format_charpoly", never)
-        for argv in (["--precision", "5089"], ["--precision", "9" * 4000],
-                     ["--prime-override", "10007", "--precision", "1100"]):
-            code, out, err = run(capsys, "invariants", spec, *argv, "--format", fmt)
-            assert code == 2 and out == "", argv
-            assert err.startswith(f"error: --precision {argv[-1]}:") and err.count("\n") == 1
-            assert "4300 digits" in err
+            cli.check_invariants_size("x", FiniteSpectrumData(3, {0: 3536, 1: 3536}),
+                                      expand=True)
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_invariants_rows_are_capped(self, capsys, monkeypatch, fmt):
         # 2(p-1) rows, at most the 2(MAX_RANGE + 1) records of the longest
         # imc call: 99991 is the largest prime that answers
-        cli.check_invariants_size("x", FiniteSpectrumData(99991, {0: 1}), 64, expand=False)
+        cli.check_invariants_size("x", FiniteSpectrumData(99991, {0: 1}), expand=False)
 
         def never(*_):
             raise AssertionError("an invariants call past the row cap built its rows")
@@ -798,9 +777,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("growth", "--ladder", "x"),
-        ("invariants", "--precision", "y"),
         ("growth", "--skip", "z"),
-        ("invariants", "--precision", "0"),
         ("growth", "--skip", "-1"),
     ])
     def test_bad_integer_flag_names_the_flag(self, capsys, command, flag, value):
@@ -876,8 +853,7 @@ class TestIntDigitLimit:
     @staticmethod
     def cli_run(argv, digits=None):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        for name in ("PYTHONINTMAXSTRDIGITS", cli.FORMAT_ENV_VAR):
-            env.pop(name, None)
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
         if digits is not None:
             env["PYTHONINTMAXSTRDIGITS"] = digits
         return subprocess.run([sys.executable, "-m", "iwaspectra.cli", *argv],
@@ -914,12 +890,10 @@ class TestIntDigitLimit:
 
 
 def child_env() -> dict:
-    """The environment of a child interpreter: the package on its path, no
-    format set, and stdout block-buffered, as it is by default when not a
-    terminal."""
+    """The environment of a child interpreter: the package on its path, and
+    stdout block-buffered, as it is by default when not a terminal."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for name in (cli.FORMAT_ENV_VAR, "PYTHONUNBUFFERED"):
-        env.pop(name, None)
+    env.pop("PYTHONUNBUFFERED", None)
     return env
 
 
@@ -1013,22 +987,36 @@ class TestEntry:
 
 
 class TestFormatSelection:
-    def test_env_var_sets_default(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.FORMAT_ENV_VAR, "json")
-        _, out, _ = run(capsys, "sphere-table", "-p", "3", "--t-range", "0..1")
-        json.loads(out)  # must be valid JSON
+    """--format alone picks the format, table by default: no environment
+    variable sets it."""
+
+    @pytest.mark.parametrize("value", ["json", "yaml"])
+    def test_env_var_is_ignored(self, capsys, monkeypatch, value):
+        monkeypatch.delenv("IWASPECTRA_FORMAT", raising=False)
+        code, table, err = run(capsys, "sphere-table", "-p", "3")
+        assert code == 0 and err == "" and table.startswith("p = 3\nt ")
+        monkeypatch.setenv("IWASPECTRA_FORMAT", value)
+        assert run(capsys, "sphere-table", "-p", "3") == (0, table, "")
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.FORMAT_ENV_VAR, "json")
+        monkeypatch.setenv("IWASPECTRA_FORMAT", "json")
         _, out, _ = run(capsys, "sphere-table", "-p", "3", "--t-range", "0..1",
                         "--format", "csv")
         assert out.splitlines()[0] == "t,exponent,order"
 
-    def test_invalid_env_value_is_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.FORMAT_ENV_VAR, "yaml")
-        code, _, err = run(capsys, "sphere-table", "-p", "3")
-        assert code == 2
-        assert "invalid format" in err
+
+class TestReadmeFlags:
+    def test_command_line_section_names_every_flag(self):
+        # the long options of every subcommand are the --flags written in
+        # README's "Command line" section, so neither can drift alone
+        text = (ROOT / "README.md").read_text()
+        section = text[text.index("\n## Command line\n"):text.index("\n## Library\n")]
+        written = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {o for sub in subparsers.choices.values() for a in sub._actions
+                   for o in a.option_strings if o.startswith("--")}
+        assert written == options
 
 
 class TestPrimeOverride:
@@ -1055,7 +1043,6 @@ class TestBenchReferences:
         module = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
         spec.loader.exec_module(module)
-        monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
         return module
 
     @staticmethod
@@ -1109,7 +1096,7 @@ def inf_as_text(v: PadicValuation):
     return "inf" if v == INFINITE else v.value
 
 
-def invariants_by_dicts(path, fmt, precision=64) -> str:
+def invariants_by_dicts(path, fmt) -> str:
     name, X = cli.load_spectrum_file(path)
     window = degree_window(X)
     eigenspaces = []
@@ -1119,14 +1106,14 @@ def invariants_by_dicts(path, fmt, precision=64) -> str:
             "degree": degree, "j": j, "lambda": f.degree, "mu": f.mu,
             "factors": [[i, mult] for i, mult in f.factors],
             "charpoly": format_charpoly(f),
-            "coefficients_mod": coefficients_mod(f, precision),
+            "coefficients_mod": coefficients_mod(f),
         })
     payload = {
         "name": name, "p": int(X.p), "chi": euler_characteristic(X),
         "total_lambda": total_lambda(X),
         "alpha": None if window is None else window[0],
         "beta": None if window is None else window[1],
-        "precision": precision, "eigenspaces": eigenspaces,
+        "precision": 64, "eigenspaces": eigenspaces,
     }
     shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
     lead = (f"name: {name or '-'}\np = {payload['p']}  chi = {payload['chi']}  "
@@ -1224,9 +1211,8 @@ class TestRowsMatchTheDictRoute:
                 0, sphere_table_by_dicts(X.p, a, a + width, fmt))
 
     def test_precision_and_corpus(self):
+        # the JSON of the dict route expands mod p^64 and prints "precision": 64
         for path in sorted(CORPUS.glob("*.json")):
-            assert stdout_of(["invariants", str(path), "--precision", "3", "--format", "json"]) \
-                == (0, invariants_by_dicts(str(path), "json", 3))
             for fmt in cli.FORMATS:
                 assert stdout_of(["invariants", str(path), "--format", fmt])[1] \
                     == invariants_by_dicts(str(path), fmt)
@@ -1300,9 +1286,7 @@ def cli_argv(draw, path):
     else:
         argv = [command, path]
         argv += flags(draw, ("--prime-override", PRIMES))
-        if command == "invariants":
-            argv += flags(draw, ("--precision", st.one_of(st.integers(1, 200).map(str), ints)))
-        elif command == "imc":
+        if command == "imc":
             argv += flags(draw, ("--m-range", ranges))
         else:
             ladder = st.one_of(st.integers(0, cli.MAX_LADDER).map(str), ints)

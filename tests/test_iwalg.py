@@ -46,6 +46,10 @@ class TestCharPoly:
             CharPoly(3, ((0, -2),))
         with pytest.raises(ValueError):
             CharPoly(3, ((Fraction(1, 2), 1),))
+        # True == 1, so a bool would pass for the factor (1, 1)
+        for factor in ((True, True), (1, True), (True, 1), (False, 2)):
+            with pytest.raises(ValueError, match="need integer i and multiplicity >= 1"):
+                CharPoly(5, (factor,))
 
     def test_polys_at_different_primes_differ(self):
         assert CharPoly(3, ((1, 1),)) != CharPoly(5, ((1, 1),))

@@ -132,7 +132,9 @@ class TestEigenspaces:
 
     def test_key_validation(self):
         X = FiniteSpectrumData(3, CP2)
-        for key in [(1, 0), (0, 0.5), (-1, True)]:
+        # False == 0 and 0.0 == 0 are in (0, -1), and would read the degree-0
+        # eigenspace
+        for key in [(1, 0), (0, 0.5), (-1, True), (False, 1), (0.0, 1)]:
             with pytest.raises(ValueError):
                 eigenspace_charpoly(X, key)
 
@@ -202,6 +204,12 @@ class TestEigenspaces:
         Y = FiniteSpectrumData(5, {2: 1})
         assert eigenspace_charpoly(Y, (0, 1)) == CharPoly(5, ((1, 1),))
         assert eigenspace_charpoly(suspend(Y), (-1, 2)) == CharPoly(5, ((2, 1),))
+
+    def test_suspend_refuses_a_non_int_shift(self):
+        X = FiniteSpectrumData(5, {1: 1})
+        for k, kind in ((True, "bool"), (1.0, "float")):
+            with pytest.raises(TypeError, match=f"^k must be an int, got {kind}$"):
+                suspend(X, k)
 
 
 class TestEigenspaceMap:
