@@ -69,19 +69,17 @@ class LambdaZero(ValueError):
 GradedAverage = namedtuple("GradedAverage", ["skip", "length", "total"])
 
 
-def _excess_sum(p: int, lo: int, hi: int, excess: list[int]) -> int:
-    """Sum over k in [lo, hi] (1 <= lo) of p**e - 1, where e is the exponent
-    of the sphere in degree 2(p-1)k - 1.  excess[v] caches that value for the
-    class nu_p(k) = v, read from sphere_order once per class; the classes
-    run up to log_p(hi - lo + 1)."""
-    total, v, step = 0, 0, 1
-    at_least = hi - lo + 1  # the k in range with nu_p(k) >= v
+def _excess_sum(p: int, lo: int, hi: int) -> int:
+    """Sum over k in [lo, hi] (1 <= lo) of p**e - 1, where e = 1 + nu_p(k) is
+    the exponent of the sphere in degree 2(p-1)k - 1: the excess of the
+    class nu_p(k) = v is p**(v+1) - 1, step * p - 1 for step = p**v.  The
+    classes run up to log_p(hi - lo + 1)."""
+    total, step = 0, 1
+    at_least = hi - lo + 1  # the k in range with nu_p(k) >= v, step = p**v
     while at_least > 1:
-        if v == len(excess):
-            excess.append(p ** sphere_order(p, 2 * (p - 1) * step - 1).value - 1)
         above = hi // (step * p) - (lo - 1) // (step * p)
-        total += (at_least - above) * excess[v]
-        v, step, at_least = v + 1, step * p, above
+        total += (at_least - above) * (step * p - 1)
+        step, at_least = step * p, above
     if at_least == 1:
         # one multiple of p**v is left, and only it reaches the higher
         # classes: read its exponent directly rather than class by class,
@@ -105,14 +103,12 @@ def graded_average(X: FiniteSpectrumData, skip: int, length: int) -> GradedAvera
         raise InfiniteOrderInWindow(*infinite)
     p, block = X.p, 2 * (X.p - 1)
     alternating = (b // 2 - (a - 1) // 2) - ((b + 1) // 2 - a // 2)  # sum of (-1)^j
-    excess: list[int] = []
     total = 0
     for d, r in X.betti.items():
         # special degrees j = d + block*k - 1 in [a, b]: k in [lo, hi], k != 0;
         # negative k count as |k|, since the exponent 1 + nu_p(k) is symmetric
         lo, hi = -((d - a - 1) // block), (b - d + 1) // block
-        special = (_excess_sum(p, max(lo, 1), hi, excess)
-                   + _excess_sum(p, max(-hi, 1), -lo, excess))
+        special = _excess_sum(p, max(lo, 1), hi) + _excess_sum(p, max(-hi, 1), -lo)
         total += r * (alternating - special if d % 2 == 0 else alternating + special)
     return GradedAverage(skip, length, total)
 
@@ -140,6 +136,9 @@ def growth_ratio(average: GradedAverage, lam: int, p) -> float:
     is total_lambda(X).  The one place floats enter; everything upstream is
     exact.  total / length is int true division, correctly rounded, so it
     is float(Fraction(total, length)) and overflows where that does."""
+    p = OddPrime(p)
+    if not isinstance(lam, int) or isinstance(lam, bool):
+        raise TypeError(f"lam must be an int, got {type(lam).__name__}")
     if lam == 0:
         raise LambdaZero("total lambda is 0; the growth ratio is undefined")
     if average.length < 2:

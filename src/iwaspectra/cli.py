@@ -11,14 +11,14 @@ an invariants call past 2(MAX_RANGE + 1) rows, on a JSON invariants call
 past MAX_EXPANSION and on a growth ratio past the float range, 3 on an
 invalid prime.
 
-Every subcommand builds one Result: the lead line(s) of its table and its
-JSON payload, which holds one Rows.  A row is its key, the int cells that
+Every subcommand hands emit the lead line(s) of its table and its JSON
+payload, which holds one Rows.  A row is its key, the int cells that
 print the same in every format (m, side / degree, j / k, n / t), and the
 index of a shared tail holding the rest of its values: an imc call has a
 few dozen distinct tails, an invariants call one per distinct polynomial.
 Each key column is likewise its values and the position of each row's
 value among them, so the 2(p-1) invariants rows lay out 2 degree cells
-and p - 1 weight cells.  emit writes a Result through render_table,
+and p - 1 weight cells.  emit writes them through render_table,
 render_csv or render_json, and each lays out every key value and every
 distinct tail once.
 
@@ -76,6 +76,7 @@ MAX_RANGE = 100000
 # under the row cap).  main() sets the interpreter's limit to it whatever
 # PYTHONINTMAXSTRDIGITS says, so no parse is longer than the guards allow
 MAX_DIGITS = 4300
+DIGIT_CAP = 10 ** MAX_DIGITS  # the least int of more than MAX_DIGITS digits
 
 # invariants --format json expands an eigenspace polynomial of degree lambda
 # in about lambda**2 / 2 products of residues below p^64 (DEFAULT_PRECISION),
@@ -128,12 +129,9 @@ def load_spectrum_file(path: str, prime_override=None):
             payload = json.loads(fh.read(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SpectrumFileError(f"{path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise SpectrumFileError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:
         raise SpectrumFileError(f"{path}: JSON nested too deeply")
-    except ValueError as exc:  # not UTF-8, a duplicate key, an overlong integer
+    except ValueError as exc:  # bad JSON, not UTF-8, a duplicate key, an overlong integer
         raise SpectrumFileError(f"{path}: {exc}")
 
     if not isinstance(payload, dict):
@@ -207,10 +205,6 @@ class Rows(namedtuple("Rows", ["fields", "keys", "tails", "index", "json_only"],
 
     __slots__ = ()
 
-
-# what a subcommand prints: the lead line(s) of its table, and its JSON
-# payload, a dict whose one Rows value is what table and CSV print
-Result = namedtuple("Result", ["lead", "payload"])
 
 # the json module's indent-2 encoder, for every value that is not a Rows:
 # its nested lines are indented as a top-level value's are
@@ -330,17 +324,18 @@ def _json_rows(rows: Rows) -> str:
     return _lines("[\n    {", keys, tails, rows, end)[:-len(end)] + "\n    }\n  ]"
 
 
-def emit(fmt: str, result: Result) -> None:
-    """Write a result to stdout: its payload as JSON, or its rows as CSV or
-    as a table under its lead line(s)."""
+def emit(fmt: str, lead: str, payload: dict) -> None:
+    """Write what a subcommand prints to stdout: payload, a dict whose one
+    Rows value is what table and CSV print, as JSON, or its rows as CSV or
+    as a table under lead, the table's lead line(s)."""
     if fmt == "json":
-        sys.stdout.write(render_json(result.payload))
+        sys.stdout.write(render_json(payload))
         return
-    rows = next(v for v in result.payload.values() if isinstance(v, Rows))
+    rows = next(v for v in payload.values() if isinstance(v, Rows))
     if fmt == "csv":
         sys.stdout.write(render_csv(rows))
     else:  # the lead written apart, so the whole table is not copied once more
-        sys.stdout.write(result.lead + "\n")
+        sys.stdout.write(lead + "\n")
         sys.stdout.write(render_table(rows))
 
 
@@ -366,8 +361,8 @@ def check_invariants_size(path: str, X: FiniteSpectrumData, expand: bool) -> Non
         raise OutputTooLarge(
             f"p = {X.p}: invariants would print 2(p-1) = {2 * (X.p - 1)} rows, "
             f"more than {2 * (MAX_RANGE + 1)}")
-    cap = 10 ** MAX_DIGITS
-    if abs(total_lambda(X)) >= cap or any(f.degree >= cap for f in X.eigenspaces.values()):
+    if abs(total_lambda(X)) >= DIGIT_CAP or any(f.degree >= DIGIT_CAP
+                                                for f in X.eigenspaces.values()):
         raise OutputTooLarge(f"{path}: a lambda has more than {MAX_DIGITS} digits")
     for d in X.betti:
         i = (d + 1) // 2  # the factor exponent of a cell at 2i or 2i - 1
@@ -389,7 +384,7 @@ def cmd_invariants(args) -> int:
     # from the sparse eigenspace map: most of the 2(p-1) rows are 1 when p is
     # large.  The cells of the constant 1, 0, 0 and "1", are narrower than
     # the headers, so they set no width whether or not a row takes them.
-    p, polys, known = int(X.p), [CharPoly(X.p)], {}
+    p, polys, known = X.p, [CharPoly(X.p)], {}
     index = [0] * (2 * (p - 1))  # degree 0, then degree -1, each j in [0, p-2]
     for (degree, j), f in X.eigenspaces.items():
         k = known.get(f.factors)
@@ -404,19 +399,19 @@ def cmd_invariants(args) -> int:
     shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
     # a name holding a line break or a terminal escape leads as its repr, on one line
     lead_name = repr(name) if name and not name.isprintable() else name or "-"
-    emit(args.format, Result(
-        f"name: {lead_name}\np = {p}  chi = {chi}  total_lambda = {lam}\n"
-        f"degree window: {shown}",
-        {"name": name, "p": p, "chi": chi, "total_lambda": lam,
-         "alpha": None if window is None else window[0],
-         "beta": None if window is None else window[1],
-         "precision": DEFAULT_PRECISION,
-         # the degree positions as bytes, a sequence of small ints that
-         # costs one byte per row
-         "eigenspaces": Rows(INVARIANTS_FIELDS,
-                             (((0, -1), bytes(p - 1) + b"\1" * (p - 1)),
-                              (range(p - 1), [*range(p - 1)] * 2)),
-                             tails, index, ("factors", "coefficients_mod"))}))
+    emit(args.format,
+         f"name: {lead_name}\np = {p}  chi = {chi}  total_lambda = {lam}\n"
+         f"degree window: {shown}",
+         {"name": name, "p": p, "chi": chi, "total_lambda": lam,
+          "alpha": None if window is None else window[0],
+          "beta": None if window is None else window[1],
+          "precision": DEFAULT_PRECISION,
+          # the degree positions as bytes, a sequence of small ints that
+          # costs one byte per row
+          "eigenspaces": Rows(INVARIANTS_FIELDS,
+                              (((0, -1), bytes(p - 1) + b"\1" * (p - 1)),
+                               (range(p - 1), [*range(p - 1)] * 2)),
+                              tails, index, ("factors", "coefficients_mod"))})
     return EXIT_OK
 
 
@@ -430,12 +425,11 @@ def check_imc_size(path: str, X: FiniteSpectrumData, a: int, b: int) -> None:
     the rank sum, each cell of rank r adds r * (1 + nu_p(k)) to a valuation,
     for some 0 < |k| <= 2M + D + 2, so no valuation passes
     R * (1 + bit_length(2M + D + 2))."""
-    cap = 10 ** MAX_DIGITS
     M = max(abs(a), abs(b))
-    if 2 * M + 1 >= cap:
+    if 2 * M + 1 >= DIGIT_CAP:
         raise OutputTooLarge(f"--m-range: a side 2m - 1 or 2m has more than {MAX_DIGITS} digits")
     D = max((abs(d) for d in X.betti), default=0)
-    if sum(X.betti.values()) * (1 + (2 * M + D + 2).bit_length()) >= cap:
+    if sum(X.betti.values()) * (1 + (2 * M + D + 2).bit_length()) >= DIGIT_CAP:
         raise OutputTooLarge(f"{path}: a valuation could have more than {MAX_DIGITS} digits")
 
 
@@ -453,13 +447,13 @@ def cmd_imc(args) -> int:
     tails = [(val_json(u), val_json(v), i, m) for u, v, i, m in known]
     mismatches = len(report.in_window_mismatches)
     each = range(len(ms))
-    emit(args.format, Result(
-        f"p = {int(report.p)}  m in [{a}, {b}]  in-window mismatches: {mismatches}",
-        {"name": name, "p": int(report.p),
-         "alpha": None if report.window is None else report.window[0],
-         "beta": None if report.window is None else report.window[1],
-         "records": Rows(IMC_FIELDS, ((ms, each), (sides, each)), tails, index),
-         "in_window_mismatches": mismatches, "ok": not mismatches}))
+    emit(args.format,
+         f"p = {report.p}  m in [{a}, {b}]  in-window mismatches: {mismatches}",
+         {"name": name, "p": report.p,
+          "alpha": None if report.window is None else report.window[0],
+          "beta": None if report.window is None else report.window[1],
+          "records": Rows(IMC_FIELDS, ((ms, each), (sides, each)), tails, index),
+          "in_window_mismatches": mismatches, "ok": not mismatches})
     return EXIT_FAILED if mismatches else EXIT_OK
 
 
@@ -475,10 +469,9 @@ def check_growth_size(path: str, X: FiniteSpectrumData, lam: int, skip: int,
     an integer; and |E| <= R*p*(skip+N+D+1)/(2(p-1)) for the rank sum R and
     the largest cell degree size D.  The ratio divides by
     lam*log_p(N)/2 < lam*(n+2)/2."""
-    cap = 10 ** MAX_DIGITS
-    if abs(lam) >= cap:
+    if abs(lam) >= DIGIT_CAP:
         raise OutputTooLarge(f"{path}: total_lambda has more than {MAX_DIGITS} digits")
-    if skip >= cap:
+    if skip >= DIGIT_CAP:
         raise OutputTooLarge(
             f"--skip: the top cell degree plus the skip has more than {MAX_DIGITS} digits")
     if ratios and abs(lam) * (len(lengths) + 1) >= 2 ** 1023:
@@ -488,7 +481,7 @@ def check_growth_size(path: str, X: FiniteSpectrumData, lam: int, skip: int,
     reach = skip + max((abs(d) for d in X.betti), default=0) + 1
     for n, N in enumerate(lengths):
         # at least the numerator of A in lowest terms, whose denominator is 1 or 2
-        if abs(lam) * (n + 1) + ranks * p * (reach + N) // ((p - 1) * N) + 1 >= cap:
+        if abs(lam) * (n + 1) + ranks * p * (reach + N) // ((p - 1) * N) + 1 >= DIGIT_CAP:
             raise OutputTooLarge(
                 f"{path}: the average at rung {n} could have more than {MAX_DIGITS} digits")
 
@@ -520,11 +513,10 @@ def cmd_growth(args) -> int:
         tails.append(tail)
     fields = ("k", "n", "skip", "average") + (() if args.average_only else ("ratio",))
     each = range(len(lengths))
-    emit(args.format, Result(
-        f"p = {int(X.p)}  total_lambda = {lam}  skip = {skip}",
-        {"name": name, "p": int(X.p), "total_lambda": lam, "skip": skip,
-         "rows": Rows(fields, ((range(len(lengths)), each), (lengths, each)), tails, each,
-                      ("skip",))}))
+    emit(args.format, f"p = {X.p}  total_lambda = {lam}  skip = {skip}",
+         {"name": name, "p": X.p, "total_lambda": lam, "skip": skip,
+          "rows": Rows(fields, ((range(len(lengths)), each), (lengths, each)), tails, each,
+                       ("skip",))})
     return EXIT_OK
 
 
@@ -534,10 +526,10 @@ def cmd_sphere_table(args) -> int:
     known = {}  # exponent -> tail position: a few over the whole range
     index = [known.setdefault(sphere_order(p, t).value, len(known)) for t in range(a, b + 1)]
     tails = [(val_json(e), "inf" if e == math.inf else str(p ** e)) for e in known]
-    emit(args.format, Result(f"p = {int(p)}", {
-        "p": int(p),
+    emit(args.format, f"p = {p}", {
+        "p": p,
         "rows": Rows(("t", "exponent", "order"), ((range(a, b + 1), range(b - a + 1)),), tails,
-                     index)}))
+                     index)})
     return EXIT_OK
 
 
@@ -582,21 +574,22 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="table", help="output format")
 
+    def add_file(p):
+        """The flags of a subcommand that reads a spectrum file, after its own."""
+        p.add_argument("file", help="spectrum description JSON")
+        p.add_argument("--prime-override", type=_int_arg(), default=None, metavar="P")
+        add_format(p)
+
     p_inv = sub.add_parser("invariants", help="eigenspace lambda/mu and charpolys of a spectrum")
-    p_inv.add_argument("file", help="spectrum description JSON")
-    p_inv.add_argument("--prime-override", type=_int_arg(), default=None, metavar="P")
-    add_format(p_inv)
+    add_file(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_imc = sub.add_parser("imc", help="weak main-conjecture comparison over a range of m")
-    p_imc.add_argument("file")
     p_imc.add_argument("--m-range", type=_range_arg, default=(-10, 10), metavar="A..B")
-    p_imc.add_argument("--prime-override", type=_int_arg(), default=None, metavar="P")
-    add_format(p_imc)
+    add_file(p_imc)
     p_imc.set_defaults(func=cmd_imc)
 
     p_growth = sub.add_parser("growth", help="graded averages along the window ladder")
-    p_growth.add_argument("file")
     p_growth.add_argument("--ladder", type=_int_arg(0, MAX_LADDER), default=6, metavar="K",
                           help="top rung: windows 2(p-1)p^k for k = 0..K, "
                                f"K <= {MAX_LADDER} (default %(default)s)")
@@ -604,8 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="extra degrees to skip beyond the automatic safe offset")
     p_growth.add_argument("--average-only", action="store_true",
                           help="omit ratios (required when total lambda is 0)")
-    p_growth.add_argument("--prime-override", type=_int_arg(), default=None, metavar="P")
-    add_format(p_growth)
+    add_file(p_growth)
     p_growth.set_defaults(func=cmd_growth)
 
     p_tab = sub.add_parser("sphere-table", help="orders of K(1)-local sphere homotopy groups")

@@ -99,6 +99,9 @@ def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:
     two eigenspace polynomials of each residue of -m mod p-1 are read once;
     the records are built column by column."""
     ms = list(m_range)
+    for m in ms:
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise TypeError(f"m must be an int, got {type(m).__name__}")
     sides = [t for m in ms for t in (2 * m - 1, 2 * m)]
     lhs = k1_order_of_dual_replacement(X, sides)
     q = X.p - 1

@@ -127,10 +127,6 @@ class PadicValuation(Immutable):
         if not ok:
             raise ValueError(f"valuation must be a natural number or infinity, got {self.value!r}")
 
-    @property
-    def is_finite(self) -> bool:
-        return self.value != math.inf
-
 
 INFINITE = PadicValuation(math.inf)
 

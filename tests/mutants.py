@@ -152,6 +152,20 @@ MUTANTS = (
            "flags = [inside and not match for",
            "flags = [not match for",
            ("tests/test_imc.py::TestWeakImc::test_random_spectra_match_in_window",)),
+    Mutant("imc-accepts-non-int-m", "src/iwaspectra/imc.py",
+           "        if not isinstance(m, int) or isinstance(m, bool):\n",
+           "        if False:\n",
+           ("tests/test_imc.py::TestWeakImc::test_m_must_be_an_int",)),
+    Mutant("excess-class-one-power-short", "src/iwaspectra/asymptotics.py",
+           "(at_least - above) * (step * p - 1)",
+           "(at_least - above) * (step - 1)",
+           ("tests/test_asymptotics.py::TestGradedAverage::test_contract_examples",
+            "tests/test_asymptotics.py::TestGradedAverage::test_matches_bruteforce_window_sums",
+            "tests/test_asymptotics.py::TestLadderIdentity::test_default_skip_gives_the_growth_law")),
+    Mutant("growth-ratio-accepts-any-p", "src/iwaspectra/asymptotics.py",
+           "    p = OddPrime(p)\n    if not isinstance(lam, int)",
+           "    if not isinstance(lam, int)",
+           ("tests/test_asymptotics.py::TestGrowthRatio::test_p_must_be_an_odd_prime",)),
 )
 
 

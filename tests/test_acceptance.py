@@ -18,7 +18,7 @@ from iwaspectra.asymptotics import (
 from iwaspectra.imc import verify_weak_imc
 from iwaspectra.iwalg import coefficients_mod
 from iwaspectra.k1 import sphere_order
-from iwaspectra.padic import DEFAULT_PRECISION, one_plus_p_pow_minus_one_valuation
+from iwaspectra.padic import DEFAULT_PRECISION, INFINITE, one_plus_p_pow_minus_one_valuation
 from iwaspectra.spectra import (
     FiniteSpectrumData,
     eigenspace_charpoly,
@@ -99,8 +99,8 @@ def test_03_sphere_simc_sweep():
             total += len(odd)
             mismatched.extend(r for r in odd if not r.match)
             for r in odd:
-                if not r.lhs_valuation.is_finite:
-                    assert r.m == -i and not r.rhs_valuation.is_finite
+                if r.lhs_valuation == INFINITE:
+                    assert r.m == -i and r.rhs_valuation == INFINITE
                     infinite_cases += 1
     elapsed = time.perf_counter() - start
     ok = not mismatched and infinite_cases == 13 * len(PRIMES)

@@ -17,6 +17,7 @@ from iwaspectra.asymptotics import (
     ladder,
 )
 from iwaspectra.k1 import TorsionPresent, sphere_order
+from iwaspectra.padic import NotAnOddPrime
 from iwaspectra.spectra import FiniteSpectrumData, suspend, total_lambda, wedge
 
 from oracles import (
@@ -227,6 +228,18 @@ class TestGrowthRatio:
         X = FiniteSpectrumData(3, {0: 1, 1: 1})
         with pytest.raises(LambdaZero):
             growth_ratio(graded_average(X, 1, 100), total_lambda(X), 3)
+
+    def test_p_must_be_an_odd_prime(self):
+        average = graded_average(S0_3, 0, 2 * 2 * 3 ** 4)
+        for p in (4, 9, 1, 2, True, 3.0):
+            with pytest.raises(NotAnOddPrime):
+                growth_ratio(average, 1, p)
+
+    def test_lam_must_be_an_int(self):
+        average = graded_average(S0_3, 0, 2 * 2 * 3 ** 4)
+        for lam in (True, 1.0, "1", None):
+            with pytest.raises(TypeError, match="lam must be an int"):
+                growth_ratio(average, lam, 3)
 
     def test_tiny_window_rejected(self):
         with pytest.raises(ValueError):

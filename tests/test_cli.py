@@ -1018,6 +1018,22 @@ class TestReadmeFlags:
                    for o in a.option_strings if o.startswith("--")}
         assert written == options
 
+    def test_flags_of_each_subcommand_in_order(self):
+        # each subparser's arguments in the order they are declared, which
+        # usage and --help follow: a subcommand's own flags come first, then
+        # the file flags that invariants, imc and growth share
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = {name: [tuple(a.option_strings) or a.dest for a in sub._actions[1:]]
+                 for name, sub in subparsers.choices.items()}
+        shared = ["file", ("--prime-override",), ("--format",)]
+        assert flags == {
+            "invariants": shared,
+            "imc": [("--m-range",), *shared],
+            "growth": [("--ladder",), ("--skip",), ("--average-only",), *shared],
+            "sphere-table": [("-p", "--prime"), ("--t-range",), ("--format",)],
+        }
+
 
 class TestPrimeOverride:
     def test_reinterprets_the_betti_data(self, capsys):

@@ -3,6 +3,7 @@ and its sphere case: a spectrum with one even cell."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,12 @@ class TestWeakImc:
         assert len(report.records) == 2 * 9
         assert report.ok
 
+    def test_m_must_be_an_int(self):
+        X = FiniteSpectrumData(3, CP2)
+        for ms in ([True, 1], [0, False], [1.0], [2, "3"]):
+            with pytest.raises(TypeError, match="m must be an int"):
+                verify_weak_imc(X, ms)
+
     def test_rationally_trivial_spectrum(self):
         report = verify_weak_imc(FiniteSpectrumData(3, {}), range(-3, 4))
         assert report.window is None
@@ -239,7 +246,7 @@ class TestSphereSimc:
         # n = m + 1 in the sphere's own indexing, so n = 1 - i is m = -i
         for i in range(-3, 4):
             for rec in odd_side(verify_weak_imc(sphere(3, i), range(-11, 10))):
-                assert (not rec.lhs_valuation.is_finite) == (rec.m == -i)
+                assert (rec.lhs_valuation == INFINITE) == (rec.m == -i)
 
     @given(p=st.sampled_from([3, 5, 7, 11, 101]), i=st.integers(-20, 20),
            m=st.integers(-300, 300))

@@ -89,16 +89,16 @@ class TestOddPrime:
 class TestValuationNumber:
     def test_value_and_finiteness(self):
         assert PadicValuation(4).value == 4
-        assert PadicValuation(4).is_finite
+        assert PadicValuation(4) != INFINITE
         assert INFINITE.value == math.inf
-        assert not INFINITE.is_finite
+        assert INFINITE == PadicValuation(math.inf)
         # callers sum and scale .value; a sum with an infinite term is
         # math.inf, which the constructor takes back as INFINITE
         assert PadicValuation(7 + 3 * INFINITE.value) == INFINITE
 
     def test_zero_constant(self):
         assert ZERO == PadicValuation(0)
-        assert ZERO.is_finite
+        assert ZERO != INFINITE
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
