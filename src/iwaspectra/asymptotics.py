@@ -45,7 +45,7 @@ import math
 from collections import namedtuple
 
 from .k1 import _refuse_torsion, sphere_order
-from .padic import OddPrime
+from .padic import OddPrime, _int
 from .spectra import FiniteSpectrumData, degree_window
 
 
@@ -92,10 +92,7 @@ def graded_average(X: FiniteSpectrumData, skip: int, length: int) -> GradedAvera
     """Exact alternating average over the window skip+1 .. skip+length, in
     closed form: O(cells * log_p(length)) big-integer steps."""
     _refuse_torsion(X)
-    if not isinstance(length, int) or isinstance(length, bool) or length < 1:
-        raise ValueError(f"window length must be an int >= 1, got {length!r}")
-    if not isinstance(skip, int) or isinstance(skip, bool):
-        raise ValueError(f"skip must be an int, got {skip!r}")
+    skip, length = _int(skip, "skip"), _int(length, "window length", 1)
     a, b = skip + 1, skip + length
     # the first degree a scan in window order would hit, cells in degree order
     infinite = min(((j, d) for d in X.betti for j in (d - 1, d) if a <= j <= b), default=None)
@@ -125,9 +122,7 @@ def default_skip(X: FiniteSpectrumData) -> int:
 def ladder(p, rungs: int) -> list[int]:
     """Window lengths 2(p-1)p^k for k = 0..rungs."""
     p = OddPrime(p)
-    if not isinstance(rungs, int) or isinstance(rungs, bool) or rungs < 0:
-        raise ValueError(f"rungs must be an int >= 0, got {rungs!r}")
-    return [2 * (p - 1) * p ** k for k in range(rungs + 1)]
+    return [2 * (p - 1) * p ** k for k in range(_int(rungs, "rungs", 0) + 1)]
 
 
 def growth_ratio(average: GradedAverage, lam: int, p) -> float:
@@ -137,9 +132,7 @@ def growth_ratio(average: GradedAverage, lam: int, p) -> float:
     exact.  total / length is int true division, correctly rounded, so it
     is float(Fraction(total, length)) and overflows where that does."""
     p = OddPrime(p)
-    if not isinstance(lam, int) or isinstance(lam, bool):
-        raise TypeError(f"lam must be an int, got {type(lam).__name__}")
-    if lam == 0:
+    if _int(lam, "lam") == 0:
         raise LambdaZero("total lambda is 0; the growth ratio is undefined")
     if average.length < 2:
         raise ValueError("growth ratio needs a window of length >= 2")

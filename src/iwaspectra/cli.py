@@ -42,7 +42,7 @@ from operator import attrgetter
 from .asymptotics import LambdaZero, default_skip, graded_average, growth_ratio, ladder
 from .iwalg import CharPoly, coefficients_mod, format_charpoly
 from .k1 import sphere_order
-from .padic import DEFAULT_PRECISION, NotAnOddPrime, OddPrime
+from .padic import DEFAULT_PRECISION, NotAnOddPrime, OddPrime, _int
 from .spectra import (
     FiniteSpectrumData,
     degree_window,
@@ -166,26 +166,25 @@ def load_spectrum_file(path: str, prime_override=None):
         except ValueError:
             raise SpectrumFileError(
                 f"{path}: betti degree {key!r} is not an integer of at most {MAX_DIGITS} digits")
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise SpectrumFileError(
-                f"{path}: betti rank at degree {degree} must be an integer >= 1, got {rank!r}")
         if degree in betti:
             raise SpectrumFileError(f"{path}: duplicate betti degree {degree}")
         betti[degree] = rank
 
-    torsion = {}
     raw_torsion = payload.get("torsion", [])
     if not isinstance(raw_torsion, list):
         raise SpectrumFileError(f"{path}: 'torsion' must be a list of degrees")
-    for entry in raw_torsion:
-        if not isinstance(entry, int) or isinstance(entry, bool):
-            raise SpectrumFileError(f"{path}: torsion degree {entry!r} is not an integer")
-        torsion[entry] = "*"
 
     if prime_override is not None:
         p = prime_override
-    # prime validity is a separate failure class (exit 3), checked after parsing
-    return name, FiniteSpectrumData(OddPrime(p), betti, torsion)
+    try:
+        # each entry is checked as it becomes a key, since 1, 1.0 and true
+        # are one dict key; FiniteSpectrumData checks the cells, then p
+        torsion = {_int(entry, "torsion degree"): "*" for entry in raw_torsion}
+        return name, FiniteSpectrumData(p, betti, torsion)
+    except NotAnOddPrime:
+        raise  # a failure class of its own (exit 3)
+    except (TypeError, ValueError) as exc:
+        raise SpectrumFileError(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------- rendering
@@ -589,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_file(p_imc)
     p_imc.set_defaults(func=cmd_imc)
 
-    p_growth = sub.add_parser("growth", help="graded averages along the window ladder")
+    p_growth = sub.add_parser("growth", help="ladder averages of the signed sum of cell rank "
+                                             "* summand order per degree, not of group orders")
     p_growth.add_argument("--ladder", type=_int_arg(0, MAX_LADDER), default=6, metavar="K",
                           help="top rung: windows 2(p-1)p^k for k = 0..K, "
                                f"K <= {MAX_LADDER} (default %(default)s)")

@@ -51,6 +51,7 @@ from itertools import compress, starmap
 
 from .iwalg import evaluate_valuation
 from .k1 import k1_order_of_dual_replacement
+from .padic import _int
 from .spectra import FiniteSpectrumData, degree_window, eigenspace_charpoly
 
 # side is the homotopy degree compared, 2m-1 or 2m; the valuations are
@@ -98,10 +99,7 @@ def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:
     INFINITE.  The degree window of X is computed once per report, and the
     two eigenspace polynomials of each residue of -m mod p-1 are read once;
     the records are built column by column."""
-    ms = list(m_range)
-    for m in ms:
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise TypeError(f"m must be an int, got {type(m).__name__}")
+    ms = [_int(m, "m") for m in m_range]
     sides = [t for m in ms for t in (2 * m - 1, 2 * m)]
     lhs = k1_order_of_dual_replacement(X, sides)
     q = X.p - 1

@@ -23,6 +23,7 @@ from .padic import (
     Immutable,
     OddPrime,
     PadicValuation,
+    _int,
     _special_exponent,
     _valuation,
 )
@@ -48,10 +49,8 @@ class CharPoly(Immutable):
         object.__setattr__(self, "p", OddPrime(self.p))
         merged: dict[int, int] = {}
         for i, mult in self.factors:
-            if (not isinstance(i, int) or not isinstance(mult, int) or mult < 1
-                    or bool in (i.__class__, mult.__class__)):
-                raise ValueError(f"bad factor {(i, mult)!r}: need integer i and multiplicity >= 1")
-            merged[i] = merged.get(i, 0) + mult
+            i = _int(i, "factor index")
+            merged[i] = merged.get(i, 0) + _int(mult, "factor multiplicity", 1)
         object.__setattr__(self, "factors", tuple(sorted(merged.items())))
 
     @property
@@ -65,8 +64,7 @@ def evaluate_valuation(f: CharPoly, s: int) -> PadicValuation:
     s = i (INFINITE), otherwise contributes (1 + nu_p(s - i)) * multiplicity,
     which is the multiplicity unless p divides s - i.  The exponents are
     summed as ints and wrapped once, small totals into shared instances."""
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise TypeError(f"evaluation point index must be an int, got {type(s).__name__}")
+    _int(s, "evaluation point index")
     p, total = f.p, 0
     for i, mult in f.factors:
         if s == i:
@@ -81,7 +79,7 @@ def coefficients_mod(f: CharPoly, precision: int = DEFAULT_PRECISION) -> list[in
     every coefficient is p-integral.  Expanded in ints mod p**precision, one
     linear factor at a time; the root (1+p)^i - 1 is a residue for negative
     i too, since 1+p is a unit."""
-    mod = f.p ** precision
+    mod = f.p ** _int(precision, "precision", 1)
     coeffs = [1]
     for i, mult in f.factors:
         root = pow(1 + f.p, i, mod) - 1

@@ -26,6 +26,7 @@ from .padic import (
     ZERO,
     OddPrime,
     PadicValuation,
+    _int,
     _special_exponent,
     _valuation,
     one_plus_p_pow_minus_one_valuation,
@@ -49,9 +50,7 @@ def sphere_order(p, t: int) -> PadicValuation:
     """Exponent of |pi_t| of the K(1)-local sphere at p, per the table above.
     2(p-1) is even, so it divides t + 1 only for odd t; m != 0 as t != -1."""
     p = OddPrime(p)
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise TypeError(f"degree must be an int, got {type(t).__name__}")
-    if t in (-1, 0):
+    if _int(t, "degree") in (-1, 0):
         return INFINITE
     m, rem = divmod(t + 1, 2 * (p - 1))
     return ZERO if rem else one_plus_p_pow_minus_one_valuation(p, m)
@@ -64,8 +63,7 @@ def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
     (t % 2 - 1, s mod p-1), s = (t + 2) // 2: cell d = 2i + t % 2 - 1 sits at
     t - d = 2(p-1)k - 1, k = (s - i)/(p-1) != 0, with exponent 1 + nu_p(k)."""
     _refuse_torsion(X)
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise TypeError(f"degree must be an int, got {type(t).__name__}")
+    _int(t, "degree")
     if t in X.betti or t + 1 in X.betti:
         return INFINITE
     p, s = X.p, (t + 2) // 2

@@ -66,6 +66,17 @@ def is_odd_prime(n) -> bool:
     return True
 
 
+def _int(value, what: str, low: int | None = None) -> int:
+    """value, when it is an int and not a bool, of at least low if low is
+    given: the package's one rule for an int argument.  TypeError for any
+    other type, ValueError for an int below low; what names the argument."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be an int >= {low}, got {value!r}")
+    return value
+
+
 class OddPrime(int):
     """An int that has been checked to be an odd prime."""
 
@@ -122,10 +133,8 @@ class PadicValuation(Immutable):
         self._init(value)
 
     def __post_init__(self):
-        ok = (isinstance(self.value, int) and not isinstance(self.value, bool)
-              and self.value >= 0) or self.value == math.inf
-        if not ok:
-            raise ValueError(f"valuation must be a natural number or infinity, got {self.value!r}")
+        if self.value != math.inf:
+            _int(self.value, "valuation", 0)
 
 
 INFINITE = PadicValuation(math.inf)
@@ -144,9 +153,7 @@ def one_plus_p_pow_minus_one_valuation(p, n) -> PadicValuation:
     characteristic-polynomial evaluation in the package a one-liner.
     """
     p = OddPrime(p)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"exponent must be an int, got {type(n).__name__}")
-    return _valuation(_special_exponent(p, n))
+    return _valuation(_special_exponent(p, _int(n, "exponent")))
 
 
 def _valuation(total: int) -> PadicValuation:

@@ -29,7 +29,7 @@ from functools import cache, cached_property
 from types import MappingProxyType
 
 from .iwalg import CharPoly
-from .padic import Immutable, OddPrime
+from .padic import Immutable, OddPrime, _int
 
 
 class PrimeMismatch(ValueError):
@@ -48,15 +48,13 @@ class FiniteSpectrumData(Immutable):
         self._init(p, betti, torsion)
 
     def __post_init__(self):
-        object.__setattr__(self, "p", OddPrime(self.p))
+        # the cells before the prime: a bad cell and a bad prime report the cell
         for d, r in self.betti.items():
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise ValueError(f"betti degree {d!r} is not an int")
-            if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-                raise ValueError(f"betti rank at degree {d} must be an int >= 1, got {r!r}")
+            _int(d, "betti degree")
+            _int(r, f"betti rank at degree {d}", 1)
         for d in self.torsion:
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise ValueError(f"torsion degree {d!r} is not an int")
+            _int(d, "torsion degree")
+        object.__setattr__(self, "p", OddPrime(self.p))
         object.__setattr__(self, "betti", MappingProxyType(dict(sorted(self.betti.items()))))
         object.__setattr__(self, "torsion", MappingProxyType(dict(sorted(self.torsion.items()))))
 
@@ -114,8 +112,7 @@ def wedge(X: FiniteSpectrumData, Y: FiniteSpectrumData) -> FiniteSpectrumData:
 
 
 def suspend(X: FiniteSpectrumData, k: int = 1) -> FiniteSpectrumData:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"k must be an int, got {type(k).__name__}")
+    _int(k, "k")
     return FiniteSpectrumData(
         X.p,
         {d + k: r for d, r in X.betti.items()},
@@ -134,11 +131,9 @@ def eigenspace_charpoly(X: FiniteSpectrumData, key) -> CharPoly:
     from X.eigenspaces.  Any integer j is accepted and reduced mod p-1; a
     zero eigenspace is the shared constant polynomial 1."""
     degree, j = key
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree not in (0, -1):
+    if _int(degree, "cohomological degree") not in (0, -1):
         raise ValueError(f"cohomological degree must be 0 or -1, got {degree!r}")
-    if not isinstance(j, int) or isinstance(j, bool):
-        raise ValueError(f"eigenspace weight must be an int, got {j!r}")
-    f = X.eigenspaces.get((degree, j % (X.p - 1)))
+    f = X.eigenspaces.get((degree, _int(j, "eigenspace weight") % (X.p - 1)))
     return _one(X.p) if f is None else f
 
 

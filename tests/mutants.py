@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 Mutant = namedtuple("Mutant", ["name", "file", "old", "new", "tests"])
 
 CLI = "src/iwaspectra/cli.py"
+PADIC = "src/iwaspectra/padic.py"
 ENTRY = "tests/test_cli.py::TestEntry::"
 # a Rows in JSON: parsed back, and in every growth-ladder call; the
 # hypothesis property of TestRenderJson fails too, but shrinks for 100 s
@@ -141,8 +142,8 @@ MUTANTS = (
            "        total += mult\n",
            ("tests/test_iwalg.py::TestEvaluateValuation::test_factor_route_matches_exact_route",)),
     Mutant("charpoly-accepts-bool-factors", "src/iwaspectra/iwalg.py",
-           "\n                    or bool in (i.__class__, mult.__class__)):",
-           "):",
+           "            i = _int(i, \"factor index\")\n",
+           "",
            ("tests/test_iwalg.py::TestCharPoly::test_rejects_bad_factors",)),
     Mutant("imc-eigenspaces-swapped", "src/iwaspectra/imc.py",
            "(eigenspace_charpoly(X, (0, j)), eigenspace_charpoly(X, (-1, j)))",
@@ -153,8 +154,8 @@ MUTANTS = (
            "flags = [not match for",
            ("tests/test_imc.py::TestWeakImc::test_random_spectra_match_in_window",)),
     Mutant("imc-accepts-non-int-m", "src/iwaspectra/imc.py",
-           "        if not isinstance(m, int) or isinstance(m, bool):\n",
-           "        if False:\n",
+           "    ms = [_int(m, \"m\") for m in m_range]\n",
+           "    ms = list(m_range)\n",
            ("tests/test_imc.py::TestWeakImc::test_m_must_be_an_int",)),
     Mutant("excess-class-one-power-short", "src/iwaspectra/asymptotics.py",
            "(at_least - above) * (step * p - 1)",
@@ -163,9 +164,29 @@ MUTANTS = (
             "tests/test_asymptotics.py::TestGradedAverage::test_matches_bruteforce_window_sums",
             "tests/test_asymptotics.py::TestLadderIdentity::test_default_skip_gives_the_growth_law")),
     Mutant("growth-ratio-accepts-any-p", "src/iwaspectra/asymptotics.py",
-           "    p = OddPrime(p)\n    if not isinstance(lam, int)",
-           "    if not isinstance(lam, int)",
+           "    p = OddPrime(p)\n    if _int(lam, \"lam\") == 0:",
+           "    if _int(lam, \"lam\") == 0:",
            ("tests/test_asymptotics.py::TestGrowthRatio::test_p_must_be_an_odd_prime",)),
+    Mutant("graded-average-parity-swapped", "src/iwaspectra/asymptotics.py",
+           "(alternating - special if d % 2 == 0 else alternating + special)",
+           "(alternating + special if d % 2 == 0 else alternating - special)",
+           ("tests/test_asymptotics.py::TestTrueOrders::"
+            "test_summed_orders_exceed_true_orders_by_r_minus_1",)),
+    Mutant("int-rule-accepts-bool", PADIC,
+           "    if not isinstance(value, int) or isinstance(value, bool):\n",
+           "    if not isinstance(value, int):\n",
+           ("tests/test_value_types.py::test_int_arguments[ladder.rungs-bool]",
+            "tests/test_value_types.py::test_int_arguments[FiniteSpectrumData.betti_rank-bool]",
+            "tests/test_asymptotics.py::TestGradedAverage::test_bad_window_rejected",
+            "tests/test_spectra.py::TestData::test_rejects_bad_ranks")),
+    Mutant("int-rule-ignores-low", PADIC,
+           "    if low is not None and value < low:\n",
+           "    if False:\n",
+           ("tests/test_value_types.py::test_int_arguments[ladder.rungs-below]",
+            "tests/test_value_types.py::test_int_arguments[PadicValuation.value-below]",
+            "tests/test_asymptotics.py::TestSkipAndLadder::test_ladder",
+            "tests/test_padic.py::TestValuationNumber::test_rejects_bad_values",
+            "tests/test_spectra.py::TestData::test_rejects_bad_ranks")),
 )
 
 

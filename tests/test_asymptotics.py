@@ -16,7 +16,7 @@ from iwaspectra.asymptotics import (
     growth_ratio,
     ladder,
 )
-from iwaspectra.k1 import TorsionPresent, sphere_order
+from iwaspectra.k1 import TorsionPresent, sphere_order, wedge_order
 from iwaspectra.padic import NotAnOddPrime
 from iwaspectra.spectra import FiniteSpectrumData, suspend, total_lambda, wedge
 
@@ -62,9 +62,12 @@ class TestGradedAverage:
 
     def test_bad_window_rejected(self):
         # a bool is an int to isinstance, but no window length or skip
-        for skip, length in ((0, 0), (0.5, 4), (True, 4), (0, True), (0, 4.0)):
-            with pytest.raises(ValueError):
+        for skip, length in ((0.5, 4), (True, 4), (0, True), (0, 4.0)):
+            with pytest.raises(TypeError, match="must be an int, got"):
                 graded_average(S0_3, skip, length)
+        for length in (0, -1):
+            with pytest.raises(ValueError, match="window length must be an int >= 1"):
+                graded_average(S0_3, 0, length)
 
     def test_empty_spectrum_averages_zero(self):
         assert exact_average(graded_average(FiniteSpectrumData(3, {}), -5, 17)) == 0
@@ -209,8 +212,10 @@ class TestSkipAndLadder:
     def test_ladder(self):
         assert ladder(3, 2) == [4, 12, 36]
         assert ladder(5, 0) == [8]
-        for rungs in (-1, True, 1.0):
-            with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rungs must be an int >= 0, got -1"):
+            ladder(3, -1)
+        for rungs in (True, 1.0):
+            with pytest.raises(TypeError, match="rungs must be an int"):
                 ladder(3, rungs)
 
 
@@ -278,6 +283,28 @@ class TestAdditivity:
             Z = random_spectrum(rng, p, torsion_prob=0)
             skip = max(default_skip(X), default_skip(Z)) + rng.randint(0, 2)
             assert wedge_defect(X, Z, skip, rng.randint(1, 120)) == 0
+
+
+class TestTrueOrders:
+    @given(p=st.sampled_from([3, 5, 7, 11]), data=st.data(), length=st.integers(1, 400),
+           extra=st.integers(0, 40))
+    @settings(max_examples=400, deadline=None)
+    def test_summed_orders_exceed_true_orders_by_r_minus_1(self, p, data, length, extra):
+        # graded_average sums the cells' orders p**e_d per degree (the
+        # sphere table route); the group's order is p**wedge_order, their
+        # product (the eigenspace route).  A cell's e_d is nonzero only in
+        # degrees d - 1 mod 2(p-1), so with rank-1 cells in distinct classes
+        # at most one e_d is nonzero per degree and the sum exceeds the
+        # product by R - 1, R the number of cells
+        block = 2 * (p - 1)
+        classes = data.draw(st.sets(st.integers(0, block - 1), min_size=1, max_size=8))
+        X = FiniteSpectrumData(p, {c + block * data.draw(st.integers(-3, 3)): 1 for c in classes})
+        skip = default_skip(X) + extra
+        window = range(skip + 1, skip + length + 1)
+        true_total = sum((-1) ** j * p ** wedge_order(X, j).value for j in window)
+        alternating = sum((-1) ** j for j in window)
+        assert (graded_average(X, skip, length).total - true_total
+                == (len(classes) - 1) * alternating)
 
 
 def envelope_sequences(p, max_rung):

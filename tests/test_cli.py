@@ -568,6 +568,14 @@ class TestFailureModes:
             {"p": 3, "betti": {"9" * 4301: 1}},           # past the 4300-digit int limit
             '{"p": 3, "betti": {"0": 1, "0": 2}}',        # duplicate degree
             '{"p": 3, "p": 5, "betti": {"0": 1}}',        # duplicate top-level key
+            {"p": 3, "betti": {"0": 1.0}},                # float rank
+            {"p": 3, "betti": {"0": True}},               # bool rank
+            {"p": 3, "betti": {"0": 1}, "torsion": ["a"]},  # non-integer torsion degrees
+            {"p": 3, "betti": {"0": 1}, "torsion": [1.5]},
+            {"p": 3, "betti": {"0": 1}, "torsion": [True]},
+            {"p": 3, "betti": {"0": 1}, "torsion": [[1]]},
+            {"p": 3, "betti": {"0": 1}, "torsion": [1, True]},  # true == 1 as a dict key
+            {"p": 9, "betti": {"0": 0}},                  # a bad cell wins over a bad prime
         ]
         for payload in cases:
             if isinstance(payload, str):
@@ -577,7 +585,7 @@ class TestFailureModes:
                 path = write_spectrum(tmp_path, payload)
             code, _, err = run(capsys, "invariants", str(path))
             assert code == 2, payload
-            assert err.startswith("error:") and err.count("\n") == 1, payload
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, payload
 
     def test_unprintable_name_leads_on_one_line(self, capsys, tmp_path):
         # a line break and a terminal escape; JSON escapes them, CSV prints no name

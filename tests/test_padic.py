@@ -101,10 +101,11 @@ class TestValuationNumber:
         assert ZERO != INFINITE
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="valuation must be an int >= 0, got -1"):
             PadicValuation(-1)
-        with pytest.raises(ValueError):
-            PadicValuation(1.5)
+        for value in (1.5, True, -math.inf):
+            with pytest.raises(TypeError, match="valuation must be an int"):
+                PadicValuation(value)
 
 
 class TestOnePlusPPowMinusOne:

@@ -42,13 +42,15 @@ class TestData:
         assert list(X.torsion) == [-1, 3]
 
     def test_rejects_bad_ranks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="betti rank at degree 0 must be an int >= 1, got 0"):
             FiniteSpectrumData(3, {0: 0})
         with pytest.raises(ValueError):
             FiniteSpectrumData(3, {0: -1})
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="betti degree must be an int, got float"):
             FiniteSpectrumData(3, {0.5: 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="betti rank at degree 0 must be an int, got bool"):
+            FiniteSpectrumData(3, {0: True})
+        with pytest.raises(TypeError, match="torsion degree must be an int, got float"):
             FiniteSpectrumData(3, {0: 1}, {1.5: "a"})
 
     def test_rejects_bad_prime(self):
@@ -134,8 +136,10 @@ class TestEigenspaces:
         X = FiniteSpectrumData(3, CP2)
         # False == 0 and 0.0 == 0 are in (0, -1), and would read the degree-0
         # eigenspace
-        for key in [(1, 0), (0, 0.5), (-1, True), (False, 1), (0.0, 1)]:
-            with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cohomological degree must be 0 or -1, got 1"):
+            eigenspace_charpoly(X, (1, 0))
+        for key in [(0, 0.5), (-1, True), (False, 1), (0.0, 1)]:
+            with pytest.raises(TypeError, match="must be an int, got"):
                 eigenspace_charpoly(X, key)
 
     def test_contract_examples(self):

@@ -1,16 +1,27 @@
 """The value-type contract: PadicValuation, CharPoly and FiniteSpectrumData
 are immutable, compare by value and never equal a bare value of another
 type, print their fields, and run __post_init__ exactly once per
-construction (bench/tracing.py counts constructions there)."""
+construction (bench/tracing.py counts constructions there).  And the
+argument rule of the whole library: an int argument that is not an int,
+or is a bool, is a TypeError, and an int below its bound a ValueError, both
+raised by the one helper padic._int."""
 
 import math
+import pathlib
 import re
 
 import pytest
 
-from iwaspectra.iwalg import CharPoly
-from iwaspectra.padic import INFINITE, PadicValuation
-from iwaspectra.spectra import FiniteSpectrumData, dual, strip_torsion, suspend, wedge
+from iwaspectra.asymptotics import graded_average, growth_ratio, ladder
+from iwaspectra.imc import verify_weak_imc
+from iwaspectra.iwalg import CharPoly, coefficients_mod, evaluate_valuation
+from iwaspectra.k1 import k1_order_of_dual_replacement, sphere_order, wedge_order
+from iwaspectra.padic import INFINITE, PadicValuation, one_plus_p_pow_minus_one_valuation
+from iwaspectra.spectra import (
+    FiniteSpectrumData, dual, eigenspace_charpoly, strip_torsion, suspend, wedge,
+)
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "iwaspectra"
 
 VALUES = [
     (lambda: PadicValuation(3), ("value",)),
@@ -148,3 +159,61 @@ def test_fields_are_what_repr_prints(make, fields):
     assert value._fields == fields
     printed = re.findall(r"(?:^\w+\(|, )(\w+)=", repr(value))
     assert tuple(printed) == fields
+
+
+S0 = FiniteSpectrumData(3, {0: 1})
+F = CharPoly(3, ((1, 1),))
+
+# every int argument of the public functions and constructors: its name, a
+# call with the argument set to v, and its least allowed value (None for
+# none).  A prime p is not here: any p that is not an odd prime, an int or
+# not, is NotAnOddPrime
+INT_ARGUMENTS = [
+    ("PadicValuation.value", lambda v: PadicValuation(v), 0),
+    ("one_plus_p_pow_minus_one_valuation.n", lambda v: one_plus_p_pow_minus_one_valuation(3, v),
+     None),
+    ("CharPoly.factor_index", lambda v: CharPoly(3, ((v, 1),)), None),
+    ("CharPoly.factor_multiplicity", lambda v: CharPoly(3, ((0, v),)), 1),
+    ("evaluate_valuation.s", lambda v: evaluate_valuation(F, v), None),
+    ("coefficients_mod.precision", lambda v: coefficients_mod(F, v), 1),
+    ("FiniteSpectrumData.betti_degree", lambda v: FiniteSpectrumData(3, {v: 1}), None),
+    ("FiniteSpectrumData.betti_rank", lambda v: FiniteSpectrumData(3, {0: v}), 1),
+    ("FiniteSpectrumData.torsion_degree", lambda v: FiniteSpectrumData(3, {}, {v: "a"}), None),
+    ("suspend.k", lambda v: suspend(S0, v), None),
+    ("eigenspace_charpoly.degree", lambda v: eigenspace_charpoly(S0, (v, 0)), None),
+    ("eigenspace_charpoly.j", lambda v: eigenspace_charpoly(S0, (0, v)), None),
+    ("sphere_order.t", lambda v: sphere_order(3, v), None),
+    ("wedge_order.t", lambda v: wedge_order(S0, v), None),
+    ("k1_order_of_dual_replacement.degrees", lambda v: k1_order_of_dual_replacement(S0, [5, v]),
+     None),
+    ("graded_average.skip", lambda v: graded_average(S0, v, 4), None),
+    ("graded_average.length", lambda v: graded_average(S0, 0, v), 1),
+    ("ladder.rungs", lambda v: ladder(3, v), 0),
+    ("growth_ratio.lam", lambda v: growth_ratio(graded_average(S0, 0, 4), v, 3), None),
+    ("verify_weak_imc.m", lambda v: verify_weak_imc(S0, [0, v]), None),
+]
+
+
+def _int_cases():
+    for name, call, low in INT_ARGUMENTS:
+        yield pytest.param(call, True, TypeError, ", got bool", id=f"{name}-bool")
+        yield pytest.param(call, 1.0, TypeError, ", got float", id=f"{name}-float")
+        if low is not None:
+            yield pytest.param(call, low - 1, ValueError, f" >= {low}, got {low - 1}",
+                               id=f"{name}-below")
+
+
+@pytest.mark.parametrize("call, value, error, text", _int_cases())
+def test_int_arguments(call, value, error, text):
+    with pytest.raises(error, match=re.escape(f"must be an int{text}") + "$") as exc:
+        call(value)
+    assert exc.type is error
+
+
+def test_bool_is_refused_in_one_place():
+    # the int rule is written once, in padic._int; is_odd_prime is a
+    # predicate, and the spectrum file's p is refused before any prime check
+    found = {path.name: re.findall(r"isinstance\((\w+), bool\)", path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: args for name, args in found.items() if args} == {
+        "cli.py": ["p"], "padic.py": ["n", "value"]}
