@@ -39,8 +39,6 @@ N >= m + 2 - alpha, and then A = -lambda*(n+1)/2: the finite form of the
 growth law.  tests/oracles.py holds the identity as an independent oracle.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
@@ -131,6 +129,8 @@ def growth_ratio(average: GradedAverage, lam: int, p) -> float:
     is total_lambda(X).  The one place floats enter; everything upstream is
     exact.  total / length is int true division, correctly rounded, so it
     is float(Fraction(total, length)) and overflows where that does."""
+    if not isinstance(average, GradedAverage):
+        raise TypeError(f"average must be a GradedAverage, got {type(average).__name__}")
     p = OddPrime(p)
     if _int(lam, "lam") == 0:
         raise LambdaZero("total lambda is 0; the growth ratio is undefined")

@@ -27,8 +27,6 @@ main() runs one call and returns its exit code.  entry(), behind
 stdout and stderr, and ends the process at once with os._exit.
 """
 
-from __future__ import annotations
-
 import argparse
 import errno
 import json

@@ -44,8 +44,6 @@ left, of X on the right) and share nothing else: the left still reads the
 sphere table per cell of D, the right evaluates X's polynomials factor-wise.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import compress, starmap
 

@@ -15,8 +15,6 @@ the identity nu_p((1+p)^n - 1) = 1 + nu_p(n), so no big numbers are ever
 formed on that path.
 """
 
-from __future__ import annotations
-
 from .padic import (
     DEFAULT_PRECISION,
     INFINITE,
@@ -27,6 +25,13 @@ from .padic import (
     _special_exponent,
     _valuation,
 )
+
+
+def _pair(value, what: str) -> tuple:
+    """value, when it is a tuple of two; else TypeError, worded like padic._int's."""
+    if not isinstance(value, tuple) or len(value) != 2:
+        raise TypeError(f"{what} must be a pair, got {value!r}")
+    return value
 
 
 class CharPoly(Immutable):
@@ -48,7 +53,8 @@ class CharPoly(Immutable):
     def __post_init__(self):
         object.__setattr__(self, "p", OddPrime(self.p))
         merged: dict[int, int] = {}
-        for i, mult in self.factors:
+        for factor in self.factors:
+            i, mult = _pair(factor, "factor")
             i = _int(i, "factor index")
             merged[i] = merged.get(i, 0) + _int(mult, "factor multiplicity", 1)
         object.__setattr__(self, "factors", tuple(sorted(merged.items())))

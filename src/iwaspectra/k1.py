@@ -19,8 +19,6 @@ then reads only that entry of the spectrum's eigenspaces map: O(cells /
 exponent sums come back as shared instances.
 """
 
-from __future__ import annotations
-
 from .padic import (
     INFINITE,
     ZERO,

@@ -16,8 +16,6 @@ No floating point is used anywhere in this module except the single inf
 sentinel inside PadicValuation.
 """
 
-from __future__ import annotations
-
 import math
 
 DEFAULT_PRECISION = 64  # p-adic digits of expanded coefficients

@@ -22,13 +22,11 @@ are the factors of one eigenspace.  betti and torsion are read-only
 mappings, so the map cannot go stale.
 """
 
-from __future__ import annotations
-
 from collections.abc import Mapping
 from functools import cache, cached_property
 from types import MappingProxyType
 
-from .iwalg import CharPoly
+from .iwalg import CharPoly, _pair
 from .padic import Immutable, OddPrime, _int
 
 
@@ -49,6 +47,9 @@ class FiniteSpectrumData(Immutable):
 
     def __post_init__(self):
         # the cells before the prime: a bad cell and a bad prime report the cell
+        for what, cells in (("betti", self.betti), ("torsion", self.torsion)):
+            if not isinstance(cells, Mapping):
+                raise TypeError(f"{what} must be a Mapping, got {type(cells).__name__}")
         for d, r in self.betti.items():
             _int(d, "betti degree")
             _int(r, f"betti rank at degree {d}", 1)
@@ -130,7 +131,7 @@ def eigenspace_charpoly(X: FiniteSpectrumData, key) -> CharPoly:
     """Characteristic polynomial of the (degree, j) eigenspace of X, read
     from X.eigenspaces.  Any integer j is accepted and reduced mod p-1; a
     zero eigenspace is the shared constant polynomial 1."""
-    degree, j = key
+    degree, j = _pair(key, "eigenspace key")
     if _int(degree, "cohomological degree") not in (0, -1):
         raise ValueError(f"cohomological degree must be 0 or -1, got {degree!r}")
     f = X.eigenspaces.get((degree, _int(j, "eigenspace weight") % (X.p - 1)))

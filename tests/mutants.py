@@ -121,16 +121,19 @@ MUTANTS = (
            "    if t in X.betti:\n",
            ("tests/test_k1.py::TestWedgeOrder::test_multiplicative_in_wedges",
             "tests/test_k1.py::TestWedgeOrder::test_per_cell_bruteforce_oracle",
-            "tests/test_imc.py::TestMismatches::test_contract_examples")),
+            "tests/test_imc.py::TestMismatches::test_contract_examples",
+            "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
     Mutant("wedge-order-exponent-always-1", "src/iwaspectra/k1.py",
            "        total += r if k % p else _special_exponent(p, k) * r\n",
            "        total += r\n",
            ("tests/test_k1.py::TestWedgeOrder::test_per_cell_bruteforce_oracle",
-            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan")),
+            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
+            "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
     Mutant("wedge-order-parity-swapped", "src/iwaspectra/k1.py",
            "X.eigenspaces.get((t % 2 - 1, s % (p - 1)))",
            "X.eigenspaces.get((-(t % 2), s % (p - 1)))",
-           ("tests/test_k1.py::TestWedgeOrder::test_contract_examples",)),
+           ("tests/test_k1.py::TestWedgeOrder::test_contract_examples",
+            "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
     Mutant("eigenspaces-odd-cell-exponent", "src/iwaspectra/spectra.py",
            "            i = (d + 1) // 2  # i both for d = 2i and for d = 2i - 1\n",
            "            i = d // 2\n",
@@ -145,6 +148,11 @@ MUTANTS = (
            "            i = _int(i, \"factor index\")\n",
            "",
            ("tests/test_iwalg.py::TestCharPoly::test_rejects_bad_factors",)),
+    Mutant("spectrum-accepts-any-cells", "src/iwaspectra/spectra.py",
+           "            if not isinstance(cells, Mapping):\n",
+           "            if False:\n",
+           ("tests/test_value_types.py::test_argument_shapes[betti-list]",
+            "tests/test_value_types.py::test_argument_shapes[torsion-list]")),
     Mutant("imc-eigenspaces-swapped", "src/iwaspectra/imc.py",
            "(eigenspace_charpoly(X, (0, j)), eigenspace_charpoly(X, (-1, j)))",
            "(eigenspace_charpoly(X, (-1, j)), eigenspace_charpoly(X, (0, j)))",

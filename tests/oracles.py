@@ -2,17 +2,20 @@
 
 Everything here recomputes its answer from first principles (repeated exact
 division, extended Euclid, exhaustive search, literal window sums, base-p
-digit counts) so the library's closed forms have something honest to
-disagree with.  Only the plain value types are imported from the package; no computation paths,
-apart from sphere_order in wedge_order_scan: that oracle checks which cells
-wedge_order skips, and sphere_order is held to sphere_exponent_bruteforce on
-its own.
+digit counts, the Adams operation on K-theory) so the library's closed
+forms have something honest to disagree with.  Only the plain value types
+are imported from the package; no computation paths, apart from
+sphere_order in wedge_order_scan: that oracle checks which cells
+wedge_order skips, and sphere_order is held to sphere_exponent_bruteforce
+and k1_order_adams on its own.  k1_order_adams uses nothing from the
+package at all.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from iwaspectra import FiniteSpectrumData
 from iwaspectra.k1 import sphere_order
@@ -72,6 +75,54 @@ def sphere_exponent_bruteforce(p: int, t: int):
             return k + 1
         k += 1
     return 0
+
+
+@cache
+def primitive_root_mod_p_squared(p: int) -> int:
+    """The least g > 1 that generates (Z/p^2)^x, and so topologically
+    generates Zp^x: a primitive root mod p (g^((p-1)/q) != 1 mod p for each
+    prime q dividing p-1) with g^(p-1) != 1 mod p^2."""
+    qs = [q for q in range(2, p) if (p - 1) % q == 0 and all(q % s for s in range(2, q))]
+    return next(g for g in range(2, p * p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in qs) and pow(g, p - 1, p * p) != 1)
+
+
+def unit_power_valuation(p: int, g: int, k: int) -> int:
+    """nu_p(g^k - 1) for k != 0, read from g^k mod p^N (a modular inverse
+    for k < 0), N doubled until g^k - 1 leaves a nonzero residue."""
+    n = 2
+    while (pow(g, k, p ** n) - 1) % p ** n == 0:
+        n *= 2
+    return int_valuation(p, (pow(g, k, p ** n) - 1) % p ** n)
+
+
+def k1_order_adams(p: int, summands, t: int):
+    """Exponent of |pi_t| of the K(1)-localization of a wedge of cells at p,
+    from the fibre sequence L Y -> KU_p ^ Y --(psi^g - 1)--> KU_p ^ Y, with
+    g a primitive root mod p^2, and no sphere table.  A summand (d, r, None)
+    is r copies of S^d, and (d, r, j) is r copies of the Moore spectrum
+    S^d/p^j.  KU_p ^ S^d is Zp in the degrees d + 2k (Z/p^j for the Moore
+    spectrum), where psi^g acts as g^k, and the long exact sequence gives
+
+        |pi_t| = |coker(psi^g - 1) on pi_(t+1)| * |ker(psi^g - 1) on pi_t|.
+
+    On Zp, g^k - 1 is injective with cokernel of exponent nu_p(g^k - 1) for
+    k != 0, and zero, with kernel and cokernel Zp-hat, for k = 0.  On
+    Z/p^j, kernel and cokernel both have exponent min(j, nu_p(g^k - 1)),
+    which is j at k = 0.  math.inf for a Zp-hat summand."""
+    g = primitive_root_mod_p_squared(p)
+    total = 0
+    for d, r, j in summands:
+        for degree, cokernel in ((t + 1, True), (t, False)):
+            if (degree - d) % 2:
+                continue  # KU_p ^ S^d is zero in the degrees of the other parity
+            k = (degree - d) // 2
+            if j is None:
+                e = math.inf if k == 0 else unit_power_valuation(p, g, k) if cokernel else 0
+            else:
+                e = j if k == 0 else min(j, unit_power_valuation(p, g, k))
+            total += r * e
+    return total
 
 
 def wedge_order_scan(X, t: int):

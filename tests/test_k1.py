@@ -15,7 +15,12 @@ from iwaspectra.k1 import (
 from iwaspectra.padic import INFINITE, ZERO, PadicValuation
 from iwaspectra.spectra import FiniteSpectrumData, dual, strip_torsion, wedge
 
-from oracles import random_spectrum, sphere_exponent_bruteforce, wedge_order_scan
+from oracles import (
+    k1_order_adams,
+    random_spectrum,
+    sphere_exponent_bruteforce,
+    wedge_order_scan,
+)
 
 CP2 = {0: 1, 2: 1, 4: 1}
 
@@ -144,6 +149,32 @@ class TestWedgeOrder:
             wedge_order(FiniteSpectrumData(3, {0: 1}), 1.5)
         with pytest.raises(TypeError):
             wedge_order(FiniteSpectrumData(3, {}), 1.5)
+
+
+class TestAdamsOracle:
+    """The orders read off the psi^g fibre sequence, a route that shares
+    nothing with the sphere table."""
+
+    def test_sphere_order_matches(self):
+        for p in (3, 5, 7, 11, 101):
+            for t in range(-300, 300):
+                assert sphere_order(p, t).value == k1_order_adams(p, [(0, 1, None)], t), (p, t)
+
+    def test_wedge_order_matches(self, rng):
+        for _ in range(300):
+            p = rng.choice([3, 5, 7, 11])
+            X = random_spectrum(rng, p, max_cells=5, degree_bound=12, max_rank=3,
+                                torsion_prob=0)
+            summands = [(d, r, None) for d, r in X.betti.items()]
+            for t in range(-40, 40):
+                assert wedge_order(X, t).value == k1_order_adams(p, summands, t), (X, t)
+
+    def test_mod_p_moore_spectrum(self):
+        # S/p has order p exactly in the degrees 0 and -1 mod 2(p-1)
+        for p in (3, 5, 7):
+            for t in range(-100, 100):
+                expected = 1 if t % (2 * (p - 1)) in (0, 2 * p - 3) else 0
+                assert k1_order_adams(p, [(0, 1, 1)], t) == expected, (p, t)
 
 
 class TestDualReplacementOrder:

@@ -4,7 +4,8 @@ type, print their fields, and run __post_init__ exactly once per
 construction (bench/tracing.py counts constructions there).  And the
 argument rule of the whole library: an int argument that is not an int,
 or is a bool, is a TypeError, and an int below its bound a ValueError, both
-raised by the one helper padic._int."""
+raised by the one helper padic._int; a container argument of the wrong
+shape is a TypeError too."""
 
 import math
 import pathlib
@@ -208,6 +209,22 @@ def test_int_arguments(call, value, error, text):
     with pytest.raises(error, match=re.escape(f"must be an int{text}") + "$") as exc:
         call(value)
     assert exc.type is error
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: CharPoly(3, ((0,),)), "factor must be a pair, got (0,)"),
+    (lambda: CharPoly(3, ((0, 1, 2),)), "factor must be a pair, got (0, 1, 2)"),
+    (lambda: eigenspace_charpoly(S0, (0, 1, 2)), "eigenspace key must be a pair, got (0, 1, 2)"),
+    (lambda: eigenspace_charpoly(S0, (0,)), "eigenspace key must be a pair, got (0,)"),
+    (lambda: growth_ratio((0, 4, -2), 1, 3), "average must be a GradedAverage, got tuple"),
+    (lambda: FiniteSpectrumData(3, [(0, 1)]), "betti must be a Mapping, got list"),
+    (lambda: FiniteSpectrumData(3, {0: 1}, [1]), "torsion must be a Mapping, got list"),
+], ids=["factor-single", "factor-triple", "key-triple", "key-single", "average-tuple",
+        "betti-list", "torsion-list"])
+def test_argument_shapes(call, text):
+    with pytest.raises(TypeError, match=re.escape(text) + "$") as exc:
+        call()
+    assert exc.type is TypeError
 
 
 def test_bool_is_refused_in_one_place():
