@@ -82,7 +82,7 @@ def _excess_sum(p: int, lo: int, hi: int) -> int:
         # one multiple of p**v is left, and only it reaches the higher
         # classes: read its exponent directly rather than class by class,
         # which would take log_p(hi) steps for a window far from degree 0
-        total += p ** sphere_order(p, 2 * (p - 1) * (hi // step * step) - 1).value - 1
+        total += p ** sphere_order(p, 2 * (p - 1) * (hi // step * step) - 1) - 1
     return total
 
 

@@ -35,7 +35,6 @@ import os
 import re
 import sys
 from collections import namedtuple
-from operator import attrgetter
 
 from .asymptotics import LambdaZero, default_skip, graded_average, growth_ratio, ladder
 from .iwalg import CharPoly, coefficients_mod, format_charpoly
@@ -209,7 +208,7 @@ _encode = json.JSONEncoder(indent=2).encode
 
 
 def val_json(value):
-    """A valuation's value as the output holds it: the int, or "inf"."""
+    """A valuation as the output holds it: the int, or "inf"."""
     return "inf" if value == math.inf else value
 
 
@@ -437,8 +436,7 @@ def cmd_imc(args) -> int:
     report = verify_weak_imc(X, range(a, b + 1))
     ms, sides, lhs, rhs, inside, match = report.columns
     # a few distinct (lhs_val, rhs_val, in_window, match) tails over all records
-    value = attrgetter("value")
-    record_tails = list(zip(map(value, lhs), map(value, rhs), inside, match))
+    record_tails = list(zip(lhs, rhs, inside, match))
     known = {tail: k for k, tail in enumerate(dict.fromkeys(record_tails))}
     index = list(map(known.__getitem__, record_tails))
     tails = [(val_json(u), val_json(v), i, m) for u, v, i, m in known]
@@ -521,7 +519,7 @@ def cmd_sphere_table(args) -> int:
     p = OddPrime(args.prime)
     a, b = args.t_range
     known = {}  # exponent -> tail position: a few over the whole range
-    index = [known.setdefault(sphere_order(p, t).value, len(known)) for t in range(a, b + 1)]
+    index = [known.setdefault(sphere_order(p, t), len(known)) for t in range(a, b + 1)]
     tails = [(val_json(e), "inf" if e == math.inf else str(p ** e)) for e in known]
     emit(args.format, f"p = {p}", {
         "p": p,

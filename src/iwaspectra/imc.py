@@ -53,7 +53,7 @@ from .padic import _int
 from .spectra import FiniteSpectrumData, degree_window, eigenspace_charpoly
 
 # side is the homotopy degree compared, 2m-1 or 2m; the valuations are
-# PadicValuations
+# ints, or INFINITE (math.inf)
 ImcRecord = namedtuple("ImcRecord", ["m", "side", "lhs_valuation", "rhs_valuation",
                                      "in_window", "match"])
 
@@ -93,10 +93,10 @@ def _inside(window, m: int) -> bool:
 
 def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:
     """Run the comparison for every m in m_range, both sides per m: a record
-    matches when the two valuations have equal values, INFINITE matching
-    INFINITE.  The degree window of X is computed once per report, and the
-    two eigenspace polynomials of each residue of -m mod p-1 are read once;
-    the records are built column by column."""
+    matches when the two valuations are equal, INFINITE matching INFINITE.
+    The degree window of X is computed once per report, and the two
+    eigenspace polynomials of each residue of -m mod p-1 are read once; the
+    records are built column by column."""
     ms = [_int(m, "m") for m in m_range]
     sides = [t for m in ms for t in (2 * m - 1, 2 * m)]
     lhs = k1_order_of_dual_replacement(X, sides)
@@ -107,5 +107,5 @@ def verify_weak_imc(X: FiniteSpectrumData, m_range) -> ImcReport:
     window = degree_window(X)
     record_ms = [m for m in ms for _ in (0, 1)]
     inside = [_inside(window, m) for m in record_ms]
-    match = [u.value == v.value for u, v in zip(lhs, rhs)]
+    match = [u == v for u, v in zip(lhs, rhs)]
     return ImcReport(X.p, window, ImcRecord(record_ms, sides, lhs, rhs, inside, match))

@@ -20,10 +20,8 @@ from .padic import (
     INFINITE,
     Immutable,
     OddPrime,
-    PadicValuation,
     _int,
     _special_exponent,
-    _valuation,
 )
 
 
@@ -65,18 +63,17 @@ class CharPoly(Immutable):
         return sum(mult for _, mult in self.factors)
 
 
-def evaluate_valuation(f: CharPoly, s: int) -> PadicValuation:
+def evaluate_valuation(f: CharPoly, s: int) -> int | float:
     """nu_p(f((1+p)^s - 1)), factor-wise: the factor at i vanishes when
     s = i (INFINITE), otherwise contributes (1 + nu_p(s - i)) * multiplicity,
-    which is the multiplicity unless p divides s - i.  The exponents are
-    summed as ints and wrapped once, small totals into shared instances."""
+    which is the multiplicity unless p divides s - i, summed as ints."""
     _int(s, "evaluation point index")
     p, total = f.p, 0
     for i, mult in f.factors:
         if s == i:
             return INFINITE
         total += mult if (s - i) % p else _special_exponent(p, s - i) * mult
-    return _valuation(total)
+    return total
 
 
 def coefficients_mod(f: CharPoly, precision: int = DEFAULT_PRECISION) -> list[int]:

@@ -3,8 +3,8 @@
 For the K(1)-local sphere, pi_t is: Zp-hat in degrees t = -1 and t = 0;
 cyclic of order p**(nu_p(m) + 1) when t is odd and m = (t+1)/(2(p-1)) is a
 nonzero integer (negative m included); trivial otherwise.  Every order here
-is returned as its exponent, a PadicValuation, with INFINITE encoding a
-Zp-hat summand.
+is returned as its exponent, a plain int, with INFINITE (math.inf) encoding
+a Zp-hat summand.
 
 For a torsion-free wedge of cells the localized homotopy in each degree is
 the direct sum over cells, so orders multiply: exponents add, scaled by the
@@ -15,18 +15,15 @@ divides t - d + 1.  Those cells are the factors (i, rank) of one
 eigenspace (see spectra): d = 2i or 2i - 1 has the parity of t + 1 and
 i = (t + 2) // 2 mod p-1.  So wedge_order looks up those two degrees, and
 then reads only that entry of the spectrum's eigenspaces map: O(cells /
-(p-1) + 1) per degree when the cells spread over the eigenspaces.  Small
-exponent sums come back as shared instances.
+(p-1) + 1) per degree when the cells spread over the eigenspaces.
 """
 
 from .padic import (
     INFINITE,
     ZERO,
     OddPrime,
-    PadicValuation,
     _int,
     _special_exponent,
-    _valuation,
     one_plus_p_pow_minus_one_valuation,
 )
 from .spectra import FiniteSpectrumData, dual, strip_torsion
@@ -37,14 +34,17 @@ class TorsionPresent(ValueError):
 
 
 def _refuse_torsion(X: FiniteSpectrumData) -> None:
-    """Raise TorsionPresent when X carries torsion markers."""
+    """Raise TypeError, worded like padic._int's, when X is not a
+    FiniteSpectrumData, and TorsionPresent when X carries torsion markers."""
+    if not isinstance(X, FiniteSpectrumData):
+        raise TypeError(f"X must be a FiniteSpectrumData, got {type(X).__name__}")
     if X.torsion:
         raise TorsionPresent(
             f"torsion markers present at degrees {sorted(X.torsion)}; "
             "apply the torsion-free replacement first")
 
 
-def sphere_order(p, t: int) -> PadicValuation:
+def sphere_order(p, t: int) -> int | float:
     """Exponent of |pi_t| of the K(1)-local sphere at p, per the table above.
     2(p-1) is even, so it divides t + 1 only for odd t; m != 0 as t != -1."""
     p = OddPrime(p)
@@ -54,7 +54,7 @@ def sphere_order(p, t: int) -> PadicValuation:
     return ZERO if rem else one_plus_p_pow_minus_one_valuation(p, m)
 
 
-def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
+def wedge_order(X: FiniteSpectrumData, t: int) -> int | float:
     """Exponent of |pi_t| of the K(1)-localization of torsion-free X: the sum
     over cells d of rank * sphere_order(p, t - d).  INFINITE when a cell sits
     at t or t + 1; otherwise the sum over the factors (i, r) of the eigenspace
@@ -72,10 +72,10 @@ def wedge_order(X: FiniteSpectrumData, t: int) -> PadicValuation:
     for i, r in f.factors:
         k = (s - i) // (p - 1)
         total += r if k % p else _special_exponent(p, k) * r
-    return _valuation(total)
+    return total
 
 
-def k1_order_of_dual_replacement(X: FiniteSpectrumData, degrees) -> list[PadicValuation]:
+def k1_order_of_dual_replacement(X: FiniteSpectrumData, degrees) -> list[int | float]:
     """Exponents of |pi_t| of the K(1)-local dual of the torsion-free
     replacement of X, one per t in degrees.  The dual replacement is built
     once for all of them.  This is the homotopy side of every main-conjecture

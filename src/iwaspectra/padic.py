@@ -3,17 +3,16 @@
 Everything downstream (characteristic polynomials, homotopy group orders,
 graded averages) reduces to a handful of valuation facts collected here:
 
-* a valuation is a natural number or ``INFINITE``, which is the order
-  exponent of a pro-p summand such as Zp-hat.  The order p**e of a finite
-  p-group is carried as its exponent e, so orders multiply by adding
-  exponents: callers add and scale the plain ``.value`` numbers, where
-  Python's ``int`` and ``math.inf`` already let infinity absorb.
+* a valuation is a plain int >= 0 or ``INFINITE``, which is ``math.inf``,
+  the order exponent of a pro-p summand such as Zp-hat.  The order p**e of
+  a finite p-group is carried as its exponent e, so orders multiply by
+  adding exponents, where Python's ``int`` and ``math.inf`` already let
+  infinity absorb.
 * the special-value identity nu_p((1+p)^n - 1) = 1 + nu_p(n) for n != 0,
   which is symmetric in n <-> -n.  The closed form is the only route here;
   the tests check it against the big-integer expansion.
 
-No floating point is used anywhere in this module except the single inf
-sentinel inside PadicValuation.
+No floating point is used anywhere in this module except ``INFINITE``.
 """
 
 import math
@@ -122,8 +121,9 @@ class Immutable:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+# unused by the library; bench/tracing.py still counts its constructions
 class PadicValuation(Immutable):
-    """A natural number or INFINITE, validated once; arithmetic is on .value."""
+    """A natural number or INFINITE in its one field, validated once."""
 
     __slots__ = _fields = ("value",)  # nonnegative int, or math.inf
 
@@ -135,38 +135,25 @@ class PadicValuation(Immutable):
             _int(self.value, "valuation", 0)
 
 
-INFINITE = PadicValuation(math.inf)
-
-# the valuations 0 .. 63, built once: the exponent sums of a comparison are
-# mostly a few units, so most of them need no new instance
-_SMALL = tuple(PadicValuation(v) for v in range(64))
-
-ZERO = _SMALL[0]
+INFINITE = math.inf
+ZERO = 0
 
 
-def one_plus_p_pow_minus_one_valuation(p, n) -> PadicValuation:
+def one_plus_p_pow_minus_one_valuation(p, n) -> int:
     """nu_p((1+p)^n - 1) = 1 + nu_p(n) for n != 0, by the closed form.
 
     Symmetric under n <-> -n.  This identity is what makes every
     characteristic-polynomial evaluation in the package a one-liner.
     """
     p = OddPrime(p)
-    return _valuation(_special_exponent(p, _int(n, "exponent")))
-
-
-def _valuation(total: int) -> PadicValuation:
-    """PadicValuation(total), a shared instance when total is small: how
-    every exponent sum in the package is wrapped.  A negative total still
-    fails validation."""
-    return _SMALL[total] if 0 <= total < len(_SMALL) else PadicValuation(total)
+    return _special_exponent(p, _int(n, "exponent"))
 
 
 def _special_exponent(p: int, n: int) -> int:
-    """1 + nu_p(n), which is nu_p((1+p)^n - 1), as a plain int, for a
-    checked prime p and a nonzero int n; ZeroInput for n = 0, which has no
-    finite valuation.  The int kernel behind
-    one_plus_p_pow_minus_one_valuation, for callers that sum many of these
-    exponents and wrap the total once, through _valuation."""
+    """1 + nu_p(n), which is nu_p((1+p)^n - 1), for a checked prime p and a
+    nonzero int n; ZeroInput for n = 0, which has no finite valuation.  The
+    kernel of one_plus_p_pow_minus_one_valuation, for callers that sum many
+    of these exponents and have checked p and n already."""
     if n == 0:
         raise ZeroInput("(1+p)^0 - 1 = 0 has no finite valuation")
     n, v = abs(n), 1

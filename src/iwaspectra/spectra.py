@@ -142,7 +142,10 @@ def total_lambda(X: FiniteSpectrumData) -> int:
     """Alternating sum of eigenspace lambda invariants (degree 0 minus
     degree -1), over the nonzero eigenspaces: O(cells).  Equals the Euler
     characteristic; computed the long way through the eigenspace
-    polynomials on purpose."""
+    polynomials on purpose.  TypeError, worded like padic._int's, for an X
+    that is not a FiniteSpectrumData."""
+    if not isinstance(X, FiniteSpectrumData):
+        raise TypeError(f"X must be a FiniteSpectrumData, got {type(X).__name__}")
     return sum(f.degree if degree == 0 else -f.degree
                for (degree, _), f in X.eigenspaces.items())
 

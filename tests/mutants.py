@@ -134,6 +134,16 @@ MUTANTS = (
            "X.eigenspaces.get((-(t % 2), s % (p - 1)))",
            ("tests/test_k1.py::TestWedgeOrder::test_contract_examples",
             "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
+    Mutant("wedge-order-float-total", "src/iwaspectra/k1.py",
+           "    total = 0\n",
+           "    total = 0.0\n",
+           ("tests/test_value_types.py::test_every_valuation_is_a_plain_int_or_inf",
+            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan")),
+    Mutant("wedge-order-accepts-any-X", "src/iwaspectra/k1.py",
+           "    if not isinstance(X, FiniteSpectrumData):\n",
+           "    if False:\n",
+           ("tests/test_value_types.py::test_argument_shapes[wedge_order-dict]",
+            "tests/test_value_types.py::test_argument_shapes[graded_average-tuple]")),
     Mutant("eigenspaces-odd-cell-exponent", "src/iwaspectra/spectra.py",
            "            i = (d + 1) // 2  # i both for d = 2i and for d = 2i - 1\n",
            "            i = d // 2\n",
@@ -144,6 +154,10 @@ MUTANTS = (
            "        total += mult if (s - i) % p else _special_exponent(p, s - i) * mult\n",
            "        total += mult\n",
            ("tests/test_iwalg.py::TestEvaluateValuation::test_factor_route_matches_exact_route",)),
+    Mutant("evaluate-valuation-float-total", "src/iwaspectra/iwalg.py",
+           "    p, total = f.p, 0\n",
+           "    p, total = f.p, 0.0\n",
+           ("tests/test_value_types.py::test_every_valuation_is_a_plain_int_or_inf",)),
     Mutant("charpoly-accepts-bool-factors", "src/iwaspectra/iwalg.py",
            "            i = _int(i, \"factor index\")\n",
            "",
@@ -153,6 +167,10 @@ MUTANTS = (
            "            if False:\n",
            ("tests/test_value_types.py::test_argument_shapes[betti-list]",
             "tests/test_value_types.py::test_argument_shapes[torsion-list]")),
+    Mutant("total-lambda-accepts-any-X", "src/iwaspectra/spectra.py",
+           "    if not isinstance(X, FiniteSpectrumData):\n",
+           "    if False:\n",
+           ("tests/test_value_types.py::test_argument_shapes[total_lambda-none]",)),
     Mutant("imc-eigenspaces-swapped", "src/iwaspectra/imc.py",
            "(eigenspace_charpoly(X, (0, j)), eigenspace_charpoly(X, (-1, j)))",
            "(eigenspace_charpoly(X, (-1, j)), eigenspace_charpoly(X, (0, j)))",

@@ -19,7 +19,6 @@ from functools import cache
 
 from iwaspectra import FiniteSpectrumData
 from iwaspectra.k1 import sphere_order
-from iwaspectra.padic import PadicValuation
 
 
 def int_valuation(p: int, n: int) -> int:
@@ -131,8 +130,8 @@ def wedge_order_scan(X, t: int):
     cell as plain numbers, where math.inf absorbs."""
     total = 0
     for d, r in X.betti.items():
-        total += sphere_order(X.p, t - d).value * r
-    return PadicValuation(total)
+        total += sphere_order(X.p, t - d) * r
+    return total
 
 
 def eval_point(p: int, s: int) -> Fraction:

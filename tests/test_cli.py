@@ -26,7 +26,7 @@ from iwaspectra.asymptotics import default_skip, graded_average, growth_ratio, l
 from iwaspectra.imc import ImcRecord, ImcReport, verify_weak_imc
 from iwaspectra.iwalg import coefficients_mod, format_charpoly
 from iwaspectra.k1 import sphere_order
-from iwaspectra.padic import INFINITE, PadicValuation
+from iwaspectra.padic import INFINITE
 from iwaspectra.spectra import (
     FiniteSpectrumData,
     degree_window,
@@ -156,8 +156,7 @@ class TestImc:
         assert rec["lhs_val"] == "inf" and rec["rhs_val"] == "inf"
 
     def test_mismatch_exit_code_wiring(self, capsys, monkeypatch):
-        bad = ImcReport(3, (0, 0), ImcRecord(
-            [0], [-1], [PadicValuation(0)], [PadicValuation(1)], [True], [False]))
+        bad = ImcReport(3, (0, 0), ImcRecord([0], [-1], [0], [1], [True], [False]))
         monkeypatch.setattr(cli, "verify_weak_imc", lambda X, m_range: bad)
         code, out, _ = run(capsys, "imc", str(CORPUS / "s0_p3.json"), "--format", "csv")
         assert code == 1
@@ -1116,8 +1115,8 @@ def emit_dicts(fmt, payload, records, headers, lead) -> str:
     return lead + "\n" + render_table_ljust(headers, rows)
 
 
-def inf_as_text(v: PadicValuation):
-    return "inf" if v == INFINITE else v.value
+def inf_as_text(v):
+    return "inf" if v == INFINITE else v
 
 
 def invariants_by_dicts(path, fmt) -> str:
@@ -1190,7 +1189,7 @@ def sphere_table_by_dicts(p, a, b, fmt) -> str:
     for t in range(a, b + 1):
         e = sphere_order(p, t)
         records.append({"t": t, "exponent": inf_as_text(e),
-                        "order": "inf" if e == INFINITE else str(p ** e.value)})
+                        "order": "inf" if e == INFINITE else str(p ** e)})
     return emit_dicts(fmt, {"p": p, "rows": records}, records, ["t", "exponent", "order"],
                       f"p = {p}")
 

@@ -12,7 +12,7 @@ from iwaspectra.k1 import (
     sphere_order,
     wedge_order,
 )
-from iwaspectra.padic import INFINITE, ZERO, PadicValuation
+from iwaspectra.padic import INFINITE, ZERO
 from iwaspectra.spectra import FiniteSpectrumData, dual, strip_torsion, wedge
 
 from oracles import (
@@ -34,26 +34,26 @@ SPHERE_DEGREES = [(p, range(-60, 301)) for p in (3, 5, 7)] + [
 
 class TestSphereOrder:
     def test_contract_examples(self):
-        assert sphere_order(3, 3) == PadicValuation(1)
+        assert sphere_order(3, 3) == 1
         assert sphere_order(3, 0) == INFINITE
-        assert sphere_order(3, 23) == PadicValuation(2)
+        assert sphere_order(3, 23) == 2
 
     def test_more_frozen_degrees(self):
         assert sphere_order(3, -1) == INFINITE
-        assert sphere_order(3, 11) == PadicValuation(2)
-        assert sphere_order(3, -5) == PadicValuation(1)
-        assert sphere_order(5, 39) == PadicValuation(2)
-        assert sphere_order(7, 83) == PadicValuation(2)
+        assert sphere_order(3, 11) == 2
+        assert sphere_order(3, -5) == 1
+        assert sphere_order(5, 39) == 2
+        assert sphere_order(7, 83) == 2
         assert sphere_order(3, 2) == ZERO
         assert sphere_order(3, 5) == ZERO
-        # trivial and Zp-hat degrees return the shared constants
-        assert sphere_order(3, 2) is ZERO
-        assert sphere_order(5, 0) is INFINITE
+        # a trivial degree is the int 0, a Zp-hat degree math.inf
+        assert type(sphere_order(3, 2)) is int
+        assert type(sphere_order(5, 0)) is float
 
     def test_matches_bruteforce_search(self):
         for p, degrees in SPHERE_DEGREES:
             for t in degrees:
-                assert (sphere_order(p, t).value
+                assert (sphere_order(p, t)
                         == sphere_exponent_bruteforce(p, t)), (p, t)
 
     def test_trivial_off_the_congruence(self):
@@ -72,7 +72,7 @@ class TestSphereOrder:
         # divide r; this pins the periodicity in the degree
         assume(r % p != 0)
         t = 2 * (p - 1) * p ** k * r - 1
-        assert sphere_order(p, t) == PadicValuation(k + 1)
+        assert sphere_order(p, t) == k + 1
 
     def test_rejects_non_integer_degree(self):
         with pytest.raises(TypeError):
@@ -81,9 +81,8 @@ class TestSphereOrder:
 
 class TestWedgeOrder:
     def test_contract_examples(self):
-        assert wedge_order(FiniteSpectrumData(3, {0: 1}), 3) == PadicValuation(1)
-        assert (wedge_order(FiniteSpectrumData(3, {0: 1, 2: 1}), 3)
-                == PadicValuation(1))
+        assert wedge_order(FiniteSpectrumData(3, {0: 1}), 3) == 1
+        assert wedge_order(FiniteSpectrumData(3, {0: 1, 2: 1}), 3) == 1
         assert wedge_order(FiniteSpectrumData(3, {0: 2}), 0) == INFINITE
 
     def test_torsion_rejected(self):
@@ -92,7 +91,7 @@ class TestWedgeOrder:
             wedge_order(X, 3)
 
     def test_rank_scales_exponent(self):
-        assert wedge_order(FiniteSpectrumData(3, {0: 3}), 3) == PadicValuation(3)
+        assert wedge_order(FiniteSpectrumData(3, {0: 3}), 3) == 3
 
     def test_empty_spectrum_is_trivial_everywhere(self):
         X = FiniteSpectrumData(5, {})
@@ -107,8 +106,8 @@ class TestWedgeOrder:
             Y = random_spectrum(rng, p, torsion_prob=0)
             t = rng.randint(-40, 40)
             # exponents add as plain numbers, math.inf absorbing
-            total = wedge_order(X, t).value + wedge_order(Y, t).value
-            assert wedge_order(wedge(X, Y), t).value == total
+            total = wedge_order(X, t) + wedge_order(Y, t)
+            assert wedge_order(wedge(X, Y), t) == total
             infinite += total == math.inf
         assert infinite  # the seeded draws include Zp-hat degrees
 
@@ -121,7 +120,7 @@ class TestWedgeOrder:
             for d, r in X.betti.items():
                 e = sphere_exponent_bruteforce(p, t - d)
                 expected = math.inf if math.inf in (e, expected) else expected + r * e
-            assert wedge_order(X, t).value == expected
+            assert wedge_order(X, t) == expected
 
     @given(data=st.data(), p=st.sampled_from([3, 5, 7, 11, 101, 10007]),
            betti=st.dictionaries(st.integers(-40, 40), st.integers(1, 4), max_size=8))
@@ -138,11 +137,8 @@ class TestWedgeOrder:
         t = data.draw(degrees)
         expected = wedge_order_scan(X, t)
         got = wedge_order(X, t)
-        assert got == expected
-        if expected == ZERO:
-            assert got is ZERO
-        if expected == INFINITE:
-            assert got is INFINITE
+        # the scan's sum is an int, or math.inf once a term is infinite
+        assert got == expected and type(got) is type(expected)
 
     def test_rejects_non_integer_degree(self):
         with pytest.raises(TypeError):
@@ -158,7 +154,7 @@ class TestAdamsOracle:
     def test_sphere_order_matches(self):
         for p in (3, 5, 7, 11, 101):
             for t in range(-300, 300):
-                assert sphere_order(p, t).value == k1_order_adams(p, [(0, 1, None)], t), (p, t)
+                assert sphere_order(p, t) == k1_order_adams(p, [(0, 1, None)], t), (p, t)
 
     def test_wedge_order_matches(self, rng):
         for _ in range(300):
@@ -167,7 +163,7 @@ class TestAdamsOracle:
                                 torsion_prob=0)
             summands = [(d, r, None) for d, r in X.betti.items()]
             for t in range(-40, 40):
-                assert wedge_order(X, t).value == k1_order_adams(p, summands, t), (X, t)
+                assert wedge_order(X, t) == k1_order_adams(p, summands, t), (X, t)
 
     def test_mod_p_moore_spectrum(self):
         # S/p has order p exactly in the degrees 0 and -1 mod 2(p-1)
@@ -179,14 +175,13 @@ class TestAdamsOracle:
 
 class TestDualReplacementOrder:
     def test_contract_examples(self):
-        assert (k1_order_of_dual_replacement(FiniteSpectrumData(3, {0: 1}), [3])
-                == [PadicValuation(1)])
+        assert k1_order_of_dual_replacement(FiniteSpectrumData(3, {0: 1}), [3]) == [1]
         assert (k1_order_of_dual_replacement(FiniteSpectrumData(5, CP2), [9])
                 == [ZERO])
         assert (k1_order_of_dual_replacement(FiniteSpectrumData(3, {1: 1}), [-1])
                 == [INFINITE])
         assert (k1_order_of_dual_replacement(FiniteSpectrumData(3, {0: 1}), [3, 0, 2, 3])
-                == [PadicValuation(1), INFINITE, ZERO, PadicValuation(1)])
+                == [1, INFINITE, ZERO, 1])
         assert k1_order_of_dual_replacement(FiniteSpectrumData(3, {0: 1}), []) == []
 
     def test_torsion_markers_are_ignored(self, rng):

@@ -1,11 +1,12 @@
 """The value-type contract: PadicValuation, CharPoly and FiniteSpectrumData
 are immutable, compare by value and never equal a bare value of another
 type, print their fields, and run __post_init__ exactly once per
-construction (bench/tracing.py counts constructions there).  And the
-argument rule of the whole library: an int argument that is not an int,
-or is a bool, is a TypeError, and an int below its bound a ValueError, both
-raised by the one helper padic._int; a container argument of the wrong
-shape is a TypeError too."""
+construction (bench/tracing.py counts constructions there).  The library
+builds no PadicValuation: every valuation it returns is a plain int >= 0,
+or math.inf.  And the argument rule of the whole library: an int argument
+that is not an int, or is a bool, is a TypeError, and an int below its
+bound a ValueError, both raised by the one helper padic._int; a container
+or spectrum argument of the wrong shape is a TypeError too."""
 
 import math
 import pathlib
@@ -17,10 +18,12 @@ from iwaspectra.asymptotics import graded_average, growth_ratio, ladder
 from iwaspectra.imc import verify_weak_imc
 from iwaspectra.iwalg import CharPoly, coefficients_mod, evaluate_valuation
 from iwaspectra.k1 import k1_order_of_dual_replacement, sphere_order, wedge_order
-from iwaspectra.padic import INFINITE, PadicValuation, one_plus_p_pow_minus_one_valuation
+from iwaspectra.padic import PadicValuation, one_plus_p_pow_minus_one_valuation
 from iwaspectra.spectra import (
-    FiniteSpectrumData, dual, eigenspace_charpoly, strip_torsion, suspend, wedge,
+    FiniteSpectrumData, dual, eigenspace_charpoly, strip_torsion, suspend, total_lambda, wedge,
 )
+
+from oracles import random_spectrum
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "iwaspectra"
 
@@ -46,7 +49,8 @@ def test_fields_cannot_be_assigned_or_deleted(make, fields):
 def test_equal_values_compare_and_hash_equal():
     assert PadicValuation(3) == PadicValuation(3) and PadicValuation(3) != PadicValuation(4)
     assert hash(PadicValuation(3)) == hash(PadicValuation(3))
-    assert PadicValuation(math.inf) == INFINITE and hash(PadicValuation(math.inf)) == hash(INFINITE)
+    infinite = PadicValuation(math.inf)
+    assert PadicValuation(math.inf) == infinite and hash(PadicValuation(math.inf)) == hash(infinite)
     # construction normalizes the factors, so unsorted and split input agree
     f, g = CharPoly(5, ((2, 1), (0, 1))), CharPoly(5, ((0, 1), (2, 1)))
     assert f == g and hash(f) == hash(g)
@@ -59,7 +63,7 @@ def test_equal_values_compare_and_hash_equal():
 
 def test_never_equal_to_a_bare_value():
     assert PadicValuation(3) != 3 and 3 != PadicValuation(3)
-    assert PadicValuation(0) != 0 and INFINITE != math.inf
+    assert PadicValuation(0) != 0 and PadicValuation(math.inf) != math.inf
     assert PadicValuation(3) != (3,) and PadicValuation(5) != CharPoly(5)
     assert CharPoly(5) != (5, ()) and CharPoly(5, ((2, 1),)) != ((2, 1),)
     assert FiniteSpectrumData(3, {0: 1}) != (3, {0: 1}, {})
@@ -72,7 +76,7 @@ def test_spectrum_data_is_unhashable():
 
 def test_repr_names_every_field():
     assert repr(PadicValuation(3)) == "PadicValuation(value=3)"
-    assert repr(INFINITE) == "PadicValuation(value=inf)"
+    assert repr(PadicValuation(math.inf)) == "PadicValuation(value=inf)"
     assert repr(CharPoly(5, ((2, 1),))) == "CharPoly(p=5, factors=((2, 1),))"
     assert repr(CharPoly(3)) == "CharPoly(p=3, factors=())"
     assert repr(FiniteSpectrumData(3, {0: 1})) == (
@@ -219,8 +223,12 @@ def test_int_arguments(call, value, error, text):
     (lambda: growth_ratio((0, 4, -2), 1, 3), "average must be a GradedAverage, got tuple"),
     (lambda: FiniteSpectrumData(3, [(0, 1)]), "betti must be a Mapping, got list"),
     (lambda: FiniteSpectrumData(3, {0: 1}, [1]), "torsion must be a Mapping, got list"),
+    (lambda: wedge_order({0: 1}, 3), "X must be a FiniteSpectrumData, got dict"),
+    (lambda: graded_average((3, {0: 1}), 0, 4), "X must be a FiniteSpectrumData, got tuple"),
+    (lambda: total_lambda(None), "X must be a FiniteSpectrumData, got NoneType"),
 ], ids=["factor-single", "factor-triple", "key-triple", "key-single", "average-tuple",
-        "betti-list", "torsion-list"])
+        "betti-list", "torsion-list", "wedge_order-dict", "graded_average-tuple",
+        "total_lambda-none"])
 def test_argument_shapes(call, text):
     with pytest.raises(TypeError, match=re.escape(text) + "$") as exc:
         call()
@@ -234,3 +242,28 @@ def test_bool_is_refused_in_one_place():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: args for name, args in found.items() if args} == {
         "cli.py": ["p"], "padic.py": ["n", "value"]}
+
+
+def _plain(v) -> bool:
+    """A valuation as the library returns it: an int >= 0, or math.inf."""
+    return type(v) is int and v >= 0 or v == math.inf
+
+
+def test_every_valuation_is_a_plain_int_or_inf(rng):
+    finite = infinite = 0
+    for p in (3, 5, 7, 11):
+        # past 2(p-1)p^2 - 1, the first degree of exponent 3, both ways
+        degrees = range(-2 * (p - 1) * p ** 2 - 2, 2 * (p - 1) * p ** 2 + 2)
+        values = [sphere_order(p, t) for t in degrees]
+        for _ in range(25):
+            X = random_spectrum(rng, p)
+            bare = strip_torsion(X)
+            values += [wedge_order(bare, rng.randint(-300, 300)) for _ in range(20)]
+            values += [evaluate_valuation(f, s)
+                       for f in X.eigenspaces.values() for s in range(-3 * p, 3 * p)]
+            columns = verify_weak_imc(X, range(-p * p, p * p)).columns
+            values += columns.lhs_valuation + columns.rhs_valuation
+        assert [v for v in values if not _plain(v)] == [], p
+        finite += sum(v != math.inf and v > 1 for v in values)
+        infinite += values.count(math.inf)
+    assert finite and infinite  # the draws reach both kinds
