@@ -43,7 +43,7 @@ import math
 from collections import namedtuple
 
 from .k1 import _refuse_torsion, sphere_order
-from .padic import OddPrime, _int
+from .padic import OddPrime, _instance, _int
 from .spectra import FiniteSpectrumData, degree_window
 
 
@@ -129,8 +129,7 @@ def growth_ratio(average: GradedAverage, lam: int, p) -> float:
     is total_lambda(X).  The one place floats enter; everything upstream is
     exact.  total / length is int true division, correctly rounded, so it
     is float(Fraction(total, length)) and overflows where that does."""
-    if not isinstance(average, GradedAverage):
-        raise TypeError(f"average must be a GradedAverage, got {type(average).__name__}")
+    _instance(average, GradedAverage, "average")
     p = OddPrime(p)
     if _int(lam, "lam") == 0:
         raise LambdaZero("total lambda is 0; the growth ratio is undefined")

@@ -380,16 +380,12 @@ def cmd_invariants(args) -> int:
     # from the sparse eigenspace map: most of the 2(p-1) rows are 1 when p is
     # large.  The cells of the constant 1, 0, 0 and "1", are narrower than
     # the headers, so they set no width whether or not a row takes them.
-    p, polys, known = X.p, [CharPoly(X.p)], {}
+    p, known = X.p, {CharPoly(X.p): 0}  # polynomial -> tail position
     index = [0] * (2 * (p - 1))  # degree 0, then degree -1, each j in [0, p-2]
     for (degree, j), f in X.eigenspaces.items():
-        k = known.get(f.factors)
-        if k is None:
-            k = known[f.factors] = len(polys)
-            polys.append(f)
-        index[j - degree * (p - 1)] = k
+        index[j - degree * (p - 1)] = known.setdefault(f, len(known))
     tails = [(f.degree, f.mu, [[i, mult] for i, mult in f.factors], format_charpoly(f),
-              coefficients_mod(f) if expand else None) for f in polys]
+              coefficients_mod(f) if expand else None) for f in known]
     window = degree_window(X)
     chi, lam = euler_characteristic(X), total_lambda(X)
     shown = "empty" if window is None else f"[{window[0]}, {window[1]}]"
@@ -435,10 +431,8 @@ def cmd_imc(args) -> int:
     check_imc_size(args.file, X, a, b)
     report = verify_weak_imc(X, range(a, b + 1))
     ms, sides, lhs, rhs, inside, match = report.columns
-    # a few distinct (lhs_val, rhs_val, in_window, match) tails over all records
-    record_tails = list(zip(lhs, rhs, inside, match))
-    known = {tail: k for k, tail in enumerate(dict.fromkeys(record_tails))}
-    index = list(map(known.__getitem__, record_tails))
+    known = {}  # (lhs_val, rhs_val, in_window, match) -> tail position: a few over all records
+    index = [known.setdefault(tail, len(known)) for tail in zip(lhs, rhs, inside, match)]
     tails = [(val_json(u), val_json(v), i, m) for u, v, i, m in known]
     mismatches = len(report.in_window_mismatches)
     each = range(len(ms))

@@ -39,9 +39,10 @@ The sphere case is the one-cell spectrum X = S^{2i}: its window excludes
 only m = -i, where the odd side still compares INFINITE with INFINITE, so
 every odd-side record of a sphere matches.
 
-Both sides group cells by eigenspace (of the dual replacement D on the
-left, of X on the right) and share nothing else: the left still reads the
-sphere table per cell of D, the right evaluates X's polynomials factor-wise.
+The left side builds the dual replacement D once; k1.wedge_order reads,
+per degree, the one eigenspace of D on its support and adds
+rank * (1 + nu_p(k)) per factor.  The right side evaluates X's polynomials
+at s = -m factor-wise.  Both take 1 + nu_p(n) from padic._special_exponent.
 """
 
 from collections import namedtuple

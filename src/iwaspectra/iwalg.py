@@ -21,15 +21,9 @@ from .padic import (
     Immutable,
     OddPrime,
     _int,
+    _pair,
     _special_exponent,
 )
-
-
-def _pair(value, what: str) -> tuple:
-    """value, when it is a tuple of two; else TypeError, worded like padic._int's."""
-    if not isinstance(value, tuple) or len(value) != 2:
-        raise TypeError(f"{what} must be a pair, got {value!r}")
-    return value
 
 
 class CharPoly(Immutable):

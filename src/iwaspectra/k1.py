@@ -22,6 +22,7 @@ from .padic import (
     INFINITE,
     ZERO,
     OddPrime,
+    _instance,
     _int,
     _special_exponent,
     one_plus_p_pow_minus_one_valuation,
@@ -34,11 +35,8 @@ class TorsionPresent(ValueError):
 
 
 def _refuse_torsion(X: FiniteSpectrumData) -> None:
-    """Raise TypeError, worded like padic._int's, when X is not a
-    FiniteSpectrumData, and TorsionPresent when X carries torsion markers."""
-    if not isinstance(X, FiniteSpectrumData):
-        raise TypeError(f"X must be a FiniteSpectrumData, got {type(X).__name__}")
-    if X.torsion:
+    """Raise TorsionPresent when X carries torsion markers."""
+    if _instance(X, FiniteSpectrumData, "X").torsion:
         raise TorsionPresent(
             f"torsion markers present at degrees {sorted(X.torsion)}; "
             "apply the torsion-free replacement first")

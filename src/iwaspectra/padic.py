@@ -74,6 +74,21 @@ def _int(value, what: str, low: int | None = None) -> int:
     return value
 
 
+def _pair(value, what: str) -> tuple:
+    """value, when it is a tuple of two; else TypeError, worded like _int's."""
+    if not isinstance(value, tuple) or len(value) != 2:
+        raise TypeError(f"{what} must be a pair, got {value!r}")
+    return value
+
+
+def _instance(value, cls: type, what: str):
+    """value, when it is an instance of cls, such as a spectrum argument X;
+    else TypeError, worded like _int's."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 class OddPrime(int):
     """An int that has been checked to be an odd prime."""
 

@@ -26,8 +26,8 @@ from collections.abc import Mapping
 from functools import cache, cached_property
 from types import MappingProxyType
 
-from .iwalg import CharPoly, _pair
-from .padic import Immutable, OddPrime, _int
+from .iwalg import CharPoly
+from .padic import Immutable, OddPrime, _instance, _int, _pair
 
 
 class PrimeMismatch(ValueError):
@@ -47,9 +47,8 @@ class FiniteSpectrumData(Immutable):
 
     def __post_init__(self):
         # the cells before the prime: a bad cell and a bad prime report the cell
-        for what, cells in (("betti", self.betti), ("torsion", self.torsion)):
-            if not isinstance(cells, Mapping):
-                raise TypeError(f"{what} must be a Mapping, got {type(cells).__name__}")
+        _instance(self.betti, Mapping, "betti")
+        _instance(self.torsion, Mapping, "torsion")
         for d, r in self.betti.items():
             _int(d, "betti degree")
             _int(r, f"betti rank at degree {d}", 1)
@@ -83,13 +82,14 @@ def eigenspace_keys(p) -> tuple[tuple[int, int], ...]:
 
 
 def euler_characteristic(X: FiniteSpectrumData) -> int:
-    return sum(r if d % 2 == 0 else -r for d, r in X.betti.items())
+    return sum(r if d % 2 == 0 else -r
+               for d, r in _instance(X, FiniteSpectrumData, "X").betti.items())
 
 
 def dual(X: FiniteSpectrumData) -> FiniteSpectrumData:
     """Spanier-Whitehead dual at the data level: degrees negate."""
     return FiniteSpectrumData(
-        X.p,
+        _instance(X, FiniteSpectrumData, "X").p,
         {-d: r for d, r in X.betti.items()},
         {-d: m for d, m in X.torsion.items()},
     )
@@ -97,11 +97,11 @@ def dual(X: FiniteSpectrumData) -> FiniteSpectrumData:
 
 def strip_torsion(X: FiniteSpectrumData) -> FiniteSpectrumData:
     """The torsion-free replacement of X: the same cells, no torsion markers."""
-    return FiniteSpectrumData(X.p, dict(X.betti))
+    return FiniteSpectrumData(_instance(X, FiniteSpectrumData, "X").p, X.betti)
 
 
 def wedge(X: FiniteSpectrumData, Y: FiniteSpectrumData) -> FiniteSpectrumData:
-    if X.p != Y.p:
+    if _instance(X, FiniteSpectrumData, "X").p != _instance(Y, FiniteSpectrumData, "Y").p:
         raise PrimeMismatch(f"cannot wedge spectra at p={X.p} and p={Y.p}")
     betti = dict(X.betti)
     for d, r in Y.betti.items():
@@ -115,7 +115,7 @@ def wedge(X: FiniteSpectrumData, Y: FiniteSpectrumData) -> FiniteSpectrumData:
 def suspend(X: FiniteSpectrumData, k: int = 1) -> FiniteSpectrumData:
     _int(k, "k")
     return FiniteSpectrumData(
-        X.p,
+        _instance(X, FiniteSpectrumData, "X").p,
         {d + k: r for d, r in X.betti.items()},
         {d + k: m for d, m in X.torsion.items()},
     )
@@ -134,7 +134,8 @@ def eigenspace_charpoly(X: FiniteSpectrumData, key) -> CharPoly:
     degree, j = _pair(key, "eigenspace key")
     if _int(degree, "cohomological degree") not in (0, -1):
         raise ValueError(f"cohomological degree must be 0 or -1, got {degree!r}")
-    f = X.eigenspaces.get((degree, _int(j, "eigenspace weight") % (X.p - 1)))
+    f = _instance(X, FiniteSpectrumData, "X").eigenspaces.get(
+        (degree, _int(j, "eigenspace weight") % (X.p - 1)))
     return _one(X.p) if f is None else f
 
 
@@ -142,18 +143,15 @@ def total_lambda(X: FiniteSpectrumData) -> int:
     """Alternating sum of eigenspace lambda invariants (degree 0 minus
     degree -1), over the nonzero eigenspaces: O(cells).  Equals the Euler
     characteristic; computed the long way through the eigenspace
-    polynomials on purpose.  TypeError, worded like padic._int's, for an X
-    that is not a FiniteSpectrumData."""
-    if not isinstance(X, FiniteSpectrumData):
-        raise TypeError(f"X must be a FiniteSpectrumData, got {type(X).__name__}")
+    polynomials on purpose."""
     return sum(f.degree if degree == 0 else -f.degree
-               for (degree, _), f in X.eigenspaces.items())
+               for (degree, _), f in _instance(X, FiniteSpectrumData, "X").eigenspaces.items())
 
 
 def degree_window(X: FiniteSpectrumData):
     """(alpha, beta), the extreme degrees carrying rational homology, or
     None for a rationally trivial spectrum."""
-    if not X.betti:
+    if not _instance(X, FiniteSpectrumData, "X").betti:
         return None
     degrees = X.betti.keys()
     return min(degrees), max(degrees)

@@ -34,6 +34,7 @@ Mutant = namedtuple("Mutant", ["name", "file", "old", "new", "tests"])
 CLI = "src/iwaspectra/cli.py"
 PADIC = "src/iwaspectra/padic.py"
 ENTRY = "tests/test_cli.py::TestEntry::"
+SPECTRUM_ARGUMENT = "tests/test_value_types.py::test_every_spectrum_argument_is_checked"
 # a Rows in JSON: parsed back, and in every growth-ladder call; the
 # hypothesis property of TestRenderJson fails too, but shrinks for 100 s
 JSON_ROWS = ("tests/test_cli.py::TestGrowth::test_json_payload",
@@ -140,10 +141,12 @@ MUTANTS = (
            ("tests/test_value_types.py::test_every_valuation_is_a_plain_int_or_inf",
             "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan")),
     Mutant("wedge-order-accepts-any-X", "src/iwaspectra/k1.py",
-           "    if not isinstance(X, FiniteSpectrumData):\n",
-           "    if False:\n",
+           "    if _instance(X, FiniteSpectrumData, \"X\").torsion:\n",
+           "    if X.torsion:\n",
            ("tests/test_value_types.py::test_argument_shapes[wedge_order-dict]",
-            "tests/test_value_types.py::test_argument_shapes[graded_average-tuple]")),
+            "tests/test_value_types.py::test_argument_shapes[graded_average-tuple]",
+            SPECTRUM_ARGUMENT + "[wedge_order.X-NoneType]",
+            SPECTRUM_ARGUMENT + "[graded_average.X-dict]")),
     Mutant("eigenspaces-odd-cell-exponent", "src/iwaspectra/spectra.py",
            "            i = (d + 1) // 2  # i both for d = 2i and for d = 2i - 1\n",
            "            i = d // 2\n",
@@ -163,14 +166,16 @@ MUTANTS = (
            "",
            ("tests/test_iwalg.py::TestCharPoly::test_rejects_bad_factors",)),
     Mutant("spectrum-accepts-any-cells", "src/iwaspectra/spectra.py",
-           "            if not isinstance(cells, Mapping):\n",
-           "            if False:\n",
+           "        _instance(self.betti, Mapping, \"betti\")\n"
+           "        _instance(self.torsion, Mapping, \"torsion\")\n",
+           "",
            ("tests/test_value_types.py::test_argument_shapes[betti-list]",
             "tests/test_value_types.py::test_argument_shapes[torsion-list]")),
     Mutant("total-lambda-accepts-any-X", "src/iwaspectra/spectra.py",
-           "    if not isinstance(X, FiniteSpectrumData):\n",
-           "    if False:\n",
-           ("tests/test_value_types.py::test_argument_shapes[total_lambda-none]",)),
+           "_instance(X, FiniteSpectrumData, \"X\").eigenspaces.items()",
+           "X.eigenspaces.items()",
+           ("tests/test_value_types.py::test_argument_shapes[total_lambda-none]",
+            SPECTRUM_ARGUMENT + "[total_lambda.X-dict]")),
     Mutant("imc-eigenspaces-swapped", "src/iwaspectra/imc.py",
            "(eigenspace_charpoly(X, (0, j)), eigenspace_charpoly(X, (-1, j)))",
            "(eigenspace_charpoly(X, (-1, j)), eigenspace_charpoly(X, (0, j)))",
@@ -205,6 +210,18 @@ MUTANTS = (
             "tests/test_value_types.py::test_int_arguments[FiniteSpectrumData.betti_rank-bool]",
             "tests/test_asymptotics.py::TestGradedAverage::test_bad_window_rejected",
             "tests/test_spectra.py::TestData::test_rejects_bad_ranks")),
+    Mutant("instance-rule-accepts-anything", PADIC,
+           "    if not isinstance(value, cls):\n",
+           "    if False:\n",
+           ("tests/test_value_types.py::test_argument_shapes[average-tuple]",
+            "tests/test_value_types.py::test_argument_shapes[betti-list]",
+            "tests/test_value_types.py::test_argument_shapes[torsion-list]",
+            "tests/test_value_types.py::test_argument_shapes[wedge_order-dict]",
+            "tests/test_value_types.py::test_argument_shapes[graded_average-tuple]",
+            "tests/test_value_types.py::test_argument_shapes[total_lambda-none]",
+            SPECTRUM_ARGUMENT + "[dual.X-dict]",
+            SPECTRUM_ARGUMENT + "[wedge.Y-NoneType]",
+            SPECTRUM_ARGUMENT + "[verify_weak_imc.X-dict]")),
     Mutant("int-rule-ignores-low", PADIC,
            "    if low is not None and value < low:\n",
            "    if False:\n",

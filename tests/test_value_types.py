@@ -6,8 +6,11 @@ builds no PadicValuation: every valuation it returns is a plain int >= 0,
 or math.inf.  And the argument rule of the whole library: an int argument
 that is not an int, or is a bool, is a TypeError, and an int below its
 bound a ValueError, both raised by the one helper padic._int; a container
-or spectrum argument of the wrong shape is a TypeError too."""
+or spectrum argument of the wrong shape is a TypeError too, raised by
+padic._pair or padic._instance."""
 
+import importlib
+import inspect
 import math
 import pathlib
 import re
@@ -233,6 +236,60 @@ def test_argument_shapes(call, text):
     with pytest.raises(TypeError, match=re.escape(text) + "$") as exc:
         call()
     assert exc.type is TypeError
+
+
+# a valid value for each other parameter of a public function that takes a
+# spectrum X or Y; a new such function with a parameter not named here
+# fails test_every_spectrum_argument_is_checked until it is added
+OTHER_ARGUMENTS = {"X": S0, "Y": S0, "key": (0, 0), "t": 3, "degrees": (3,), "skip": 0,
+                   "length": 4, "m_range": (0,)}
+LIBRARY = ("padic", "iwalg", "spectra", "k1", "asymptotics", "imc")
+
+
+def _spectrum_arguments():
+    """(function, parameter name) for each parameter X or Y of a public
+    function of the library modules, found by signature."""
+    for name in LIBRARY:
+        module = importlib.import_module(f"iwaspectra.{name}")
+        for fname, function in inspect.getmembers(module, inspect.isfunction):
+            if fname.startswith("_") or function.__module__ != module.__name__:
+                continue
+            for what in inspect.signature(function).parameters:
+                if what in ("X", "Y"):
+                    yield function, what
+
+
+def _spectrum_cases():
+    for function, what in _spectrum_arguments():
+        for value, type_name in (({0: 1}, "dict"), (None, "NoneType")):
+            yield pytest.param(function, what, value, type_name,
+                               id=f"{function.__name__}.{what}-{type_name}")
+
+
+def test_spectrum_arguments_are_found():
+    assert sorted(f"{f.__name__}.{what}" for f, what in _spectrum_arguments()) == [
+        "default_skip.X", "degree_window.X", "dual.X", "eigenspace_charpoly.X",
+        "euler_characteristic.X", "graded_average.X", "k1_order_of_dual_replacement.X",
+        "strip_torsion.X", "suspend.X", "total_lambda.X", "verify_weak_imc.X", "wedge.X",
+        "wedge.Y", "wedge_order.X"]
+
+
+@pytest.mark.parametrize("function, what, value, type_name", _spectrum_cases())
+def test_every_spectrum_argument_is_checked(function, what, value, type_name):
+    parameters = inspect.signature(function).parameters.values()
+    arguments = {q.name: value if q.name == what else OTHER_ARGUMENTS[q.name]
+                 for q in parameters if q.default is q.empty}
+    text = f"{what} must be a FiniteSpectrumData, got {type_name}"
+    with pytest.raises(TypeError, match=re.escape(text) + "$") as exc:
+        function(**arguments)
+    assert exc.type is TypeError
+
+
+def test_type_error_is_raised_in_one_place():
+    # every argument rule is a helper of padic: _int, _pair and _instance
+    found = {path.name: len(re.findall(r"\braise TypeError\b", path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: n for name, n in found.items() if n} == {"padic.py": 3}
 
 
 def test_bool_is_refused_in_one_place():
