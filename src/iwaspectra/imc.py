@@ -17,32 +17,26 @@ trivial.
 
 Exactly these records mismatch, torsion markers or not: side 2m-1 when X has
 a cell at 1-2m and none at -2m, side 2m when X has a cell at -2m and none at
--2m-1.  Why: the dual replacement has a cell at -d for each cell d of X, and
-pi_t of L_K(1) S^{-d} is pi_{t+d} of the sphere, Z/p^(1+nu_p(k)) in degree
-2(p-1)k - 1 for k != 0, Zp-hat in degrees 0 and -1, zero elsewhere.  On side
-t = 2m-1, t + d = 2(p-1)k - 1 asks for an even cell d = 2i with
-m + i = (p-1)k, so i = -m mod p-1: the cells of the (0, -m) eigenspace.
-Each, of rank r, adds r * (1 + nu_p(m+i)) to the left valuation (the orders
-of wedge summands multiply), and its factor (i, r) adds the same on the
-right.  Its k = 0 case, an even cell at -2m, is INFINITE on both sides, as
-the factor i = -m vanishes at s = -m.  What is left is the Zp-hat in degree
-t + d = 0, from an odd cell at 1-2m, which no factor of that eigenspace
-sees: the left side is INFINITE, and the sides part unless an even cell at
--2m makes the right side INFINITE too.  Side 2m is the same with the odd
-cells d = 2i-1, the (-1, -m) eigenspace, an odd cell at -2m-1 as the k = 0
-case and an even cell at -2m as the unmatched Zp-hat.  Such a cell lies in
-[alpha, beta] with 2m = 1-d or 2m = -d, so no mismatch falls in the window,
-and the odd cell at alpha is why the half-step at m = (1-alpha)/2 is left
-out of it.
+-2m-1.  Why: the dual replacement D has a cell at -d for each cell d of X,
+so it sends factor i of X's (0, j) eigenspace to factor -i of D's (0, -j),
+and factor i of X's (-1, j) to factor 1-i of D's (-1, 1-j).  By the identity
+of k1, side t reads D's (0, m) eigenspace at s = m for t = 2m-1, and D's
+(-1, m+1) at s = m+1 for t = 2m; for X's factor i, the D factor's s - i is
+then m+i, the negative of X's -m-i, with the same valuation.  So each left
+side is X's right side at s = -m, except where X has a cell at -t: there
+the left side is INFINITE, and the right side is too only when X has an
+even cell at -2m (side 2m-1) or an odd cell at -2m-1 (side 2m).  Such a
+cell lies in [alpha, beta] with 2m = 1-d or 2m = -d, so no mismatch falls
+in the window, and the odd cell at alpha is why the half-step at
+m = (1-alpha)/2 is left out of it.
 
 The sphere case is the one-cell spectrum X = S^{2i}: its window excludes
 only m = -i, where the odd side still compares INFINITE with INFINITE, so
 every odd-side record of a sphere matches.
 
-The left side builds the dual replacement D once; k1.wedge_order reads,
-per degree, the one eigenspace of D on its support and adds
-rank * (1 + nu_p(k)) per factor.  The right side evaluates X's polynomials
-at s = -m factor-wise.  Both take 1 + nu_p(n) from padic._special_exponent.
+The left side builds the dual replacement D once and reads k1.wedge_order
+per degree; the right side evaluates X's polynomials at s = -m.  Both sum
+1 + nu_p per factor in iwalg.evaluate_valuation.
 """
 
 from collections import namedtuple

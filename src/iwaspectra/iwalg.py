@@ -60,7 +60,9 @@ class CharPoly(Immutable):
 def evaluate_valuation(f: CharPoly, s: int) -> int | float:
     """nu_p(f((1+p)^s - 1)), factor-wise: the factor at i vanishes when
     s = i (INFINITE), otherwise contributes (1 + nu_p(s - i)) * multiplicity,
-    which is the multiplicity unless p divides s - i, summed as ints."""
+    which is the multiplicity unless p divides s - i, summed as ints.  This
+    is the package's one factor sum: k1.wedge_order, and with it both sides
+    of an imc comparison, read their valuations through it."""
     _int(s, "evaluation point index")
     p, total = f.p, 0
     for i, mult in f.factors:

@@ -11,22 +11,22 @@ the direct sum over cells, so orders multiply: exponents add, scaled by the
 rank of each cell.  One infinite summand makes the whole degree infinite.
 A cell d contributes to degree t only when t - d lies on the sphere's
 support: a Zp-hat when d is t or t + 1, and a cyclic group when 2(p-1)
-divides t - d + 1.  Those cells are the factors (i, rank) of one
-eigenspace (see spectra): d = 2i or 2i - 1 has the parity of t + 1 and
-i = (t + 2) // 2 mod p-1.  So wedge_order looks up those two degrees, and
-then reads only that entry of the spectrum's eigenspaces map: O(cells /
-(p-1) + 1) per degree when the cells spread over the eigenspaces.
+divides t - d + 1.  Those cells d = t + 1 mod 2(p-1) are the factors
+(i, rank) of one eigenspace (see spectra): d = 2i + t % 2 - 1, in the
+eigenspace f at (t % 2 - 1, s mod p-1) with s = (t + 2) // 2.  So, but
+for a cell at t,
+
+    wedge_order(X, t) = nu_p(f((1+p)^s - 1)) = iwalg.evaluate_valuation(f, s).
+
+Proof: each factor (i, r) has s - i = (p-1)k, and p does not divide p-1,
+so nu_p(s - i) = nu_p(k) and the factor adds r * (1 + nu_p(k)), the
+cell's summand; s = i exactly when the cell sits at t + 1, where both
+sides are INFINITE.  A degree reads one entry of the eigenspace map:
+O(cells / (p-1) + 1) when the cells spread over the eigenspaces.
 """
 
-from .padic import (
-    INFINITE,
-    ZERO,
-    OddPrime,
-    _instance,
-    _int,
-    _special_exponent,
-    one_plus_p_pow_minus_one_valuation,
-)
+from .iwalg import evaluate_valuation
+from .padic import INFINITE, ZERO, OddPrime, _instance, _int, one_plus_p_pow_minus_one_valuation
 from .spectra import FiniteSpectrumData, dual, strip_torsion
 
 
@@ -55,22 +55,14 @@ def sphere_order(p, t: int) -> int | float:
 def wedge_order(X: FiniteSpectrumData, t: int) -> int | float:
     """Exponent of |pi_t| of the K(1)-localization of torsion-free X: the sum
     over cells d of rank * sphere_order(p, t - d).  INFINITE when a cell sits
-    at t or t + 1; otherwise the sum over the factors (i, r) of the eigenspace
-    (t % 2 - 1, s mod p-1), s = (t + 2) // 2: cell d = 2i + t % 2 - 1 sits at
-    t - d = 2(p-1)k - 1, k = (s - i)/(p-1) != 0, with exponent 1 + nu_p(k)."""
+    at t; otherwise the valuation at s = (t + 2) // 2 of the eigenspace
+    (t % 2 - 1, s mod p-1), ZERO when that eigenspace is zero (see above)."""
     _refuse_torsion(X)
-    _int(t, "degree")
-    if t in X.betti or t + 1 in X.betti:
+    if _int(t, "degree") in X.betti:
         return INFINITE
-    p, s = X.p, (t + 2) // 2
-    f = X.eigenspaces.get((t % 2 - 1, s % (p - 1)))
-    if f is None:
-        return ZERO
-    total = 0
-    for i, r in f.factors:
-        k = (s - i) // (p - 1)
-        total += r if k % p else _special_exponent(p, k) * r
-    return total
+    s = (t + 2) // 2
+    f = X.eigenspaces.get((t % 2 - 1, s % (X.p - 1)))
+    return ZERO if f is None else evaluate_valuation(f, s)
 
 
 def k1_order_of_dual_replacement(X: FiniteSpectrumData, degrees) -> list[int | float]:

@@ -115,31 +115,21 @@ MUTANTS = (
            "repr(name) if name and not name.isprintable() else name or \"-\"",
            "name or \"-\"",
            ("tests/test_cli.py::TestFailureModes::test_unprintable_name_leads_on_one_line",)),
-    # hung tests/test_k1.py for 600 s while _special_exponent(p, 0) looped;
-    # it raises ZeroInput since
-    Mutant("wedge-order-without-t-plus-1", "src/iwaspectra/k1.py",
-           "    if t in X.betti or t + 1 in X.betti:\n",
-           "    if t in X.betti:\n",
-           ("tests/test_k1.py::TestWedgeOrder::test_multiplicative_in_wedges",
-            "tests/test_k1.py::TestWedgeOrder::test_per_cell_bruteforce_oracle",
-            "tests/test_imc.py::TestMismatches::test_contract_examples",
+    Mutant("wedge-order-without-cell-at-t", "src/iwaspectra/k1.py",
+           "    if _int(t, \"degree\") in X.betti:\n        return INFINITE\n",
+           "    _int(t, \"degree\")\n",
+           ("tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
             "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
-    Mutant("wedge-order-exponent-always-1", "src/iwaspectra/k1.py",
-           "        total += r if k % p else _special_exponent(p, k) * r\n",
-           "        total += r\n",
-           ("tests/test_k1.py::TestWedgeOrder::test_per_cell_bruteforce_oracle",
-            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
+    Mutant("wedge-order-point-off-by-one", "src/iwaspectra/k1.py",
+           "    s = (t + 2) // 2\n",
+           "    s = (t + 1) // 2\n",
+           ("tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
             "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
     Mutant("wedge-order-parity-swapped", "src/iwaspectra/k1.py",
-           "X.eigenspaces.get((t % 2 - 1, s % (p - 1)))",
-           "X.eigenspaces.get((-(t % 2), s % (p - 1)))",
+           "X.eigenspaces.get((t % 2 - 1, s % (X.p - 1)))",
+           "X.eigenspaces.get((-(t % 2), s % (X.p - 1)))",
            ("tests/test_k1.py::TestWedgeOrder::test_contract_examples",
             "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
-    Mutant("wedge-order-float-total", "src/iwaspectra/k1.py",
-           "    total = 0\n",
-           "    total = 0.0\n",
-           ("tests/test_value_types.py::test_every_valuation_is_a_plain_int_or_inf",
-            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan")),
     Mutant("wedge-order-accepts-any-X", "src/iwaspectra/k1.py",
            "    if _instance(X, FiniteSpectrumData, \"X\").torsion:\n",
            "    if X.torsion:\n",
@@ -153,14 +143,25 @@ MUTANTS = (
            ("tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
             "tests/test_k1.py::TestWedgeOrder::test_per_cell_bruteforce_oracle",
             "tests/test_spectra.py::TestEigenspaceMap::test_lookup_matches_cell_scan")),
+    # the vanishing factor is also wedge_order's Zp-hat from a cell at t + 1
+    Mutant("evaluate-valuation-never-vanishes", "src/iwaspectra/iwalg.py",
+           "        if s == i:\n",
+           "        if False:\n",
+           ("tests/test_iwalg.py::TestEvaluateValuation::test_contract_examples",
+            "tests/test_imc.py::TestMismatches::test_contract_examples",
+            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
+            "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
     Mutant("evaluate-valuation-exponent-always-1", "src/iwaspectra/iwalg.py",
            "        total += mult if (s - i) % p else _special_exponent(p, s - i) * mult\n",
            "        total += mult\n",
-           ("tests/test_iwalg.py::TestEvaluateValuation::test_factor_route_matches_exact_route",)),
+           ("tests/test_iwalg.py::TestEvaluateValuation::test_factor_route_matches_exact_route",
+            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
+            "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
     Mutant("evaluate-valuation-float-total", "src/iwaspectra/iwalg.py",
            "    p, total = f.p, 0\n",
            "    p, total = f.p, 0.0\n",
-           ("tests/test_value_types.py::test_every_valuation_is_a_plain_int_or_inf",)),
+           ("tests/test_value_types.py::test_every_valuation_is_a_plain_int_or_inf",
+            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan")),
     Mutant("charpoly-accepts-bool-factors", "src/iwaspectra/iwalg.py",
            "            i = _int(i, \"factor index\")\n",
            "",
