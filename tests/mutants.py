@@ -125,6 +125,18 @@ MUTANTS = (
            "    s = (t + 1) // 2\n",
            ("tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
             "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
+    # wedge_order summing the eigenspace's factors itself, each at exponent 1
+    Mutant("wedge-order-exponent-always-1", "src/iwaspectra/k1.py",
+           " else evaluate_valuation(f, s)\n",
+           " else INFINITE if s in dict(f.factors) else sum(dict(f.factors).values())\n",
+           ("tests/test_k1.py::TestWedgeOrder::test_per_cell_bruteforce_oracle",
+            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
+            "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
+    Mutant("wedge-order-float-total", "src/iwaspectra/k1.py",
+           "ZERO if f is None else evaluate_valuation",
+           "ZERO if f is None else 0.0 + evaluate_valuation",
+           ("tests/test_value_types.py::test_every_valuation_is_a_plain_int_or_inf",
+            "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan")),
     Mutant("wedge-order-parity-swapped", "src/iwaspectra/k1.py",
            "X.eigenspaces.get((t % 2 - 1, s % (X.p - 1)))",
            "X.eigenspaces.get((-(t % 2), s % (X.p - 1)))",
