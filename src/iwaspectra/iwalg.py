@@ -72,13 +72,13 @@ def evaluate_valuation(f: CharPoly, s: int) -> int | float:
     return total
 
 
-def coefficients_mod(f: CharPoly, precision: int = DEFAULT_PRECISION) -> list[int]:
-    """Expanded coefficients as residues mod p**precision, constant first:
-    the exact rational coefficients reduced, which is well defined because
-    every coefficient is p-integral.  Expanded in ints mod p**precision, one
-    linear factor at a time; the root (1+p)^i - 1 is a residue for negative
-    i too, since 1+p is a unit."""
-    mod = f.p ** _int(precision, "precision", 1)
+def coefficients_mod(f: CharPoly) -> list[int]:
+    """Expanded coefficients as residues mod p**DEFAULT_PRECISION (p^64),
+    constant first: the exact rational coefficients reduced, which is well
+    defined because every coefficient is p-integral.  Expanded in ints mod
+    p^64, one linear factor at a time; the root (1+p)^i - 1 is a residue for
+    negative i too, since 1+p is a unit."""
+    mod = f.p ** DEFAULT_PRECISION
     coeffs = [1]
     for i, mult in f.factors:
         root = pow(1 + f.p, i, mod) - 1

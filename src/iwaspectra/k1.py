@@ -26,7 +26,7 @@ O(cells / (p-1) + 1) when the cells spread over the eigenspaces.
 """
 
 from .iwalg import evaluate_valuation
-from .padic import INFINITE, ZERO, OddPrime, _instance, _int, one_plus_p_pow_minus_one_valuation
+from .padic import INFINITE, OddPrime, _instance, _int, one_plus_p_pow_minus_one_valuation
 from .spectra import FiniteSpectrumData, dual, strip_torsion
 
 
@@ -49,20 +49,20 @@ def sphere_order(p, t: int) -> int | float:
     if _int(t, "degree") in (-1, 0):
         return INFINITE
     m, rem = divmod(t + 1, 2 * (p - 1))
-    return ZERO if rem else one_plus_p_pow_minus_one_valuation(p, m)
+    return 0 if rem else one_plus_p_pow_minus_one_valuation(p, m)
 
 
 def wedge_order(X: FiniteSpectrumData, t: int) -> int | float:
     """Exponent of |pi_t| of the K(1)-localization of torsion-free X: the sum
     over cells d of rank * sphere_order(p, t - d).  INFINITE when a cell sits
     at t; otherwise the valuation at s = (t + 2) // 2 of the eigenspace
-    (t % 2 - 1, s mod p-1), ZERO when that eigenspace is zero (see above)."""
+    (t % 2 - 1, s mod p-1), 0 when that eigenspace is zero (see above)."""
     _refuse_torsion(X)
     if _int(t, "degree") in X.betti:
         return INFINITE
     s = (t + 2) // 2
     f = X.eigenspaces.get((t % 2 - 1, s % (X.p - 1)))
-    return ZERO if f is None else evaluate_valuation(f, s)
+    return 0 if f is None else evaluate_valuation(f, s)
 
 
 def k1_order_of_dual_replacement(X: FiniteSpectrumData, degrees) -> list[int | float]:

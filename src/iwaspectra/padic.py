@@ -151,7 +151,6 @@ class PadicValuation(Immutable):
 
 
 INFINITE = math.inf
-ZERO = 0
 
 
 def one_plus_p_pow_minus_one_valuation(p, n) -> int:

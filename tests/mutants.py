@@ -133,8 +133,8 @@ MUTANTS = (
             "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan",
             "tests/test_k1.py::TestAdamsOracle::test_wedge_order_matches")),
     Mutant("wedge-order-float-total", "src/iwaspectra/k1.py",
-           "ZERO if f is None else evaluate_valuation",
-           "ZERO if f is None else 0.0 + evaluate_valuation",
+           "0 if f is None else evaluate_valuation",
+           "0 if f is None else 0.0 + evaluate_valuation",
            ("tests/test_value_types.py::test_every_valuation_is_a_plain_int_or_inf",
             "tests/test_k1.py::TestWedgeOrder::test_support_skip_equals_full_scan")),
     Mutant("wedge-order-parity-swapped", "src/iwaspectra/k1.py",
@@ -216,6 +216,10 @@ MUTANTS = (
            "(alternating + special if d % 2 == 0 else alternating - special)",
            ("tests/test_asymptotics.py::TestTrueOrders::"
             "test_summed_orders_exceed_true_orders_by_r_minus_1",)),
+    Mutant("special-exponent-off-by-one", PADIC,
+           "    n, v = abs(n), 1\n",
+           "    n, v = abs(n), 2\n",
+           ("tests/test_k1.py::TestSphereOrder::test_matches_bernoulli_denominators",)),
     Mutant("int-rule-accepts-bool", PADIC,
            "    if not isinstance(value, int) or isinstance(value, bool):\n",
            "    if not isinstance(value, int):\n",

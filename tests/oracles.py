@@ -2,13 +2,10 @@
 
 Everything here recomputes its answer from first principles (repeated exact
 division, extended Euclid, exhaustive search, literal window sums, base-p
-digit counts, the Adams operation on K-theory) so the library's closed
-forms have something honest to disagree with.  Only the plain value types
-are imported from the package; no computation paths, apart from
-sphere_order in wedge_order_scan: that oracle checks which cells
-wedge_order skips, and sphere_order is held to sphere_exponent_bruteforce
-and k1_order_adams on its own.  k1_order_adams uses nothing from the
-package at all.
+digit counts, the Adams operation on K-theory, Bernoulli numbers) so the
+library's closed forms have something honest to disagree with.  The only
+name imported from the package is FiniteSpectrumData, the value type that
+random_spectrum builds; no oracle calls a computation path of the package.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from fractions import Fraction
 from functools import cache
 
 from iwaspectra import FiniteSpectrumData
-from iwaspectra.k1 import sphere_order
 
 
 def int_valuation(p: int, n: int) -> int:
@@ -77,6 +73,26 @@ def sphere_exponent_bruteforce(p: int, t: int):
 
 
 @cache
+def bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n (B_1 = -1/2), exactly, by the recurrence
+    sum_{k=0..n} C(n+1, k) B_k = 0, skipping the B_k = 0 at odd k >= 3.
+    Cached, so each B_n is computed once per session."""
+    if n == 0:
+        return Fraction(1)
+    total = sum(math.comb(n + 1, k) * bernoulli(k) for k in range(n) if k < 2 or k % 2 == 0)
+    return -total / (n + 1)
+
+
+def bernoulli_denominator_exponent(p: int, n: int) -> int:
+    """nu_p of the denominator of B_n / n, for n >= 1: the exponent of the
+    p-part of the image of J in degree 2n - 1, which is p**(1 + nu_p(n))
+    when p - 1 divides n and trivial otherwise (von Staudt-Clausen and
+    Kummer), here read off the exact Bernoulli number."""
+    b = bernoulli(n) / n
+    return int_valuation(p, b.denominator) if b else 0
+
+
+@cache
 def primitive_root_mod_p_squared(p: int) -> int:
     """The least g > 1 that generates (Z/p^2)^x, and so topologically
     generates Zp^x: a primitive root mod p (g^((p-1)/q) != 1 mod p for each
@@ -126,11 +142,11 @@ def k1_order_adams(p: int, summands, t: int):
 
 def wedge_order_scan(X, t: int):
     """Exponent of |pi_t| of the K(1)-localization of torsion-free X, with
-    sphere_order looked up for every cell and the exponents summed cell by
-    cell as plain numbers, where math.inf absorbs."""
+    sphere_exponent_bruteforce searched for every cell and the exponents
+    summed cell by cell as plain numbers, where math.inf absorbs."""
     total = 0
     for d, r in X.betti.items():
-        total += sphere_order(X.p, t - d) * r
+        total += sphere_exponent_bruteforce(X.p, t - d) * r
     return total
 
 

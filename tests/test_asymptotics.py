@@ -21,6 +21,7 @@ from iwaspectra.padic import NotAnOddPrime
 from iwaspectra.spectra import FiniteSpectrumData, suspend, total_lambda, wedge
 
 from oracles import (
+    bernoulli_denominator_exponent,
     exact_average,
     first_infinite_in_window,
     ladder_identity_average,
@@ -97,6 +98,19 @@ class TestGradedAverage:
             with pytest.raises(InfiniteOrderInWindow) as exc:
                 graded_average(X, skip, length)
             assert (exc.value.degree, exc.value.cell) == hit
+
+    @given(p=st.sampled_from([3, 5, 7, 11, 13]),
+           ends=st.lists(st.integers(1, 799), min_size=2, max_size=2), negative=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_sphere_total_matches_bernoulli_denominators(self, p, ends, negative):
+        # a window of S^0 inside 1 .. 799, or inside -800 .. -2; degree
+        # +-2n - 1 has order p**E(n), E read off the denominator of B_n / n
+        a, b = sorted(ends)
+        if negative:
+            a, b = -b - 1, -a - 1
+        total = sum((-1) ** j * p ** (bernoulli_denominator_exponent(p, abs(j + 1) // 2)
+                                      if j % 2 else 0) for j in range(a, b + 1))
+        assert graded_average(FiniteSpectrumData(p, {0: 1}), a - 1, b - a + 1).total == total
 
     def test_far_windows_match_bruteforce(self, rng):
         # windows far from degree 0, some holding a degree 2(p-1)k - 1 with

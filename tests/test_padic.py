@@ -19,7 +19,6 @@ from iwaspectra.padic import (
     NotAnOddPrime,
     OddPrime,
     PadicValuation,
-    ZERO,
     ZeroInput,
     is_odd_prime,
     one_plus_p_pow_minus_one_valuation,
@@ -95,10 +94,6 @@ class TestValuationNumber:
         # infinite term is INFINITE
         assert 7 + 3 * INFINITE == INFINITE
 
-    def test_zero_constant(self):
-        assert ZERO == 0 and type(ZERO) is int
-        assert ZERO != INFINITE
-
     def test_rejects_bad_values(self):
         # the library builds no PadicValuation, but the class still checks its field
         with pytest.raises(ValueError, match="valuation must be an int >= 0, got -1"):
@@ -159,7 +154,6 @@ class TestPowMod:
 
     def test_default_precision(self):
         f = CharPoly(3, ((-1, 1),))  # constant term 3/4
-        assert coefficients_mod(f) == coefficients_mod(f, DEFAULT_PRECISION)
         mod = 3 ** DEFAULT_PRECISION
         assert coefficients_mod(f)[0] == 3 * euclid_inverse(4, mod) % mod
         assert DEFAULT_PRECISION >= 32

@@ -19,7 +19,7 @@ import pytest
 
 from iwaspectra.asymptotics import graded_average, growth_ratio, ladder
 from iwaspectra.imc import verify_weak_imc
-from iwaspectra.iwalg import CharPoly, coefficients_mod, evaluate_valuation
+from iwaspectra.iwalg import CharPoly, evaluate_valuation
 from iwaspectra.k1 import k1_order_of_dual_replacement, sphere_order, wedge_order
 from iwaspectra.padic import PadicValuation, one_plus_p_pow_minus_one_valuation
 from iwaspectra.spectra import (
@@ -183,7 +183,6 @@ INT_ARGUMENTS = [
     ("CharPoly.factor_index", lambda v: CharPoly(3, ((v, 1),)), None),
     ("CharPoly.factor_multiplicity", lambda v: CharPoly(3, ((0, v),)), 1),
     ("evaluate_valuation.s", lambda v: evaluate_valuation(F, v), None),
-    ("coefficients_mod.precision", lambda v: coefficients_mod(F, v), 1),
     ("FiniteSpectrumData.betti_degree", lambda v: FiniteSpectrumData(3, {v: 1}), None),
     ("FiniteSpectrumData.betti_rank", lambda v: FiniteSpectrumData(3, {0: v}), 1),
     ("FiniteSpectrumData.torsion_degree", lambda v: FiniteSpectrumData(3, {}, {v: "a"}), None),
